@@ -23,7 +23,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .core import Model, SequenceSample
+from .core import POOL_MODES, Model, SequenceSample
 from .data import (
     Manifest,
     ManifestEntry,
@@ -49,6 +49,7 @@ from .pipeline import (
     derive_seed,
     late_fusion,
     load_model,
+    one_vs_rest,
     predict_table,
     save_model,
     train_spec,
@@ -78,7 +79,7 @@ def _add_train_flags(p: _Parser) -> None:
     p.add_argument("--coverage-t", type=int, default=5)
     p.add_argument("--maxiter", type=int, default=10000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--pooling", choices=("mean", "max"), default="mean")
+    p.add_argument("--pooling", choices=POOL_MODES, default="mean")
     p.add_argument("--init-scale", type=float, default=1e-4)
     p.add_argument("--solver", choices=sorted(SOLVERS), default="greedy")
 
@@ -116,18 +117,11 @@ def _write_run_record(out_path, args_ns, resolved, seed, outputs, started):
         fh.write("\n")
 
 
-def _binarize(samples, positive_class):
-    return [
-        SequenceSample(s.id, 1 if s.label == positive_class else -1, s.frames, s.group)
-        for s in samples
-    ]
-
-
 def cmd_train(args, argv) -> int:
     started = time.time()
     samples, _ = load_dataset(args.manifest)
     if args.positive_class is not None:
-        samples = _binarize(samples, args.positive_class)
+        samples = one_vs_rest(samples, args.positive_class)
     config = _config_from_args(args)
     spec = ModelSpec(args.model_kind, config)
     report = train_spec(samples, spec, solver=args.solver)
@@ -238,7 +232,7 @@ def cmd_eval(args, argv) -> int:
             grid = json.load(fh)
         result = grid_search(
             samples, folds, spec, grid,
-            metric=metrics[0], solver=args.solver, jobs=args.jobs,
+            metric=metrics[0], solver=args.solver,
         )
         payload = {
             "mode": "grid",
@@ -257,7 +251,7 @@ def cmd_eval(args, argv) -> int:
         )
         return 0
 
-    report = cross_validate(samples, folds, spec, metrics, solver=args.solver, jobs=args.jobs)
+    report = cross_validate(samples, folds, spec, metrics, solver=args.solver)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
         fh.write("\n")
@@ -426,7 +420,6 @@ def build_parser() -> _Parser:
     p.add_argument("--fuse", default=None, help="comma list of model files to fuse")
     p.add_argument("--fusion", choices=("equal", "zscore"), default="equal")
     p.add_argument("--weights", default=None, help="comma list of fusion weights")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

@@ -331,7 +331,6 @@ def cross_validate(
     spec: ModelSpec,
     metrics: Sequence[str] = ("acc",),
     solver: str = "greedy",
-    jobs: int = 1,
 ) -> EvalReport:
     """Train on all-but-one fold, evaluate the held-out fold, aggregate.
 
@@ -372,13 +371,7 @@ def cross_validate(
             "labels": y,
         }
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool_:
-            fold_results = list(pool_.map(run_fold, range(folds.n_folds)))
-    else:
-        fold_results = [run_fold(f) for f in range(folds.n_folds)]
+    fold_results = [run_fold(f) for f in range(folds.n_folds)]
 
     aggregate = {
         m: float(np.mean([fr["metrics"][m] for fr in fold_results])) for m in metrics
@@ -439,7 +432,6 @@ def grid_search(
     grid: Dict[str, Sequence],
     metric: str = "acc",
     solver: str = "greedy",
-    jobs: int = 1,
 ) -> GridSearchResult:
     """Staged sweep: first lambda1 x coverage_t with the global blend off,
     then gamma_g with the winning lambda1 and coverage_t fixed.
@@ -462,7 +454,7 @@ def grid_search(
         if key not in cache:
             cfg = replace(base, lambda1=lam, coverage_t=int(cov), gamma_g=gam)
             candidate = ModelSpec(spec.kind, cfg)
-            report = cross_validate(dataset, folds, candidate, (metric,), solver, jobs)
+            report = cross_validate(dataset, folds, candidate, (metric,), solver)
             cache[key] = report.aggregate[metric]
         return cache[key]
 
@@ -521,29 +513,23 @@ def search_fusion_weights(
     keeps the best metric value; ties go to the lexicographically smallest
     weight vector. Returns (weights, fused_table, score).
     """
+    if not score_tables:
+        raise ValueError("need at least one score table")
     labels = np.asarray(labels).reshape(-1)
+    if np.ndim(score_tables[0]) == 1:
+        class_labels = None
+    else:
+        class_labels = list(class_labels or sorted(np.unique(labels).tolist()))
     best = None
     for weights in product(sorted(weight_grid), repeat=len(score_tables)):
         if not any(w != 0.0 for w in weights):
             continue
         fused = late_fusion(score_tables, mode=mode, weights=weights)
-        decisions = (
-            np.where(fused >= 0.0, 1, -1)
-            if fused.ndim == 1
-            else np.array(
-                [
-                    (class_labels or sorted(np.unique(labels).tolist()))[i]
-                    for i in np.argmax(fused, axis=1)
-                ]
-            )
-        )
-        score = _score_metrics(
-            (metric,),
-            fused,
-            decisions,
-            labels,
-            None if fused.ndim == 1 else (class_labels or sorted(np.unique(labels).tolist())),
-        )[metric]
+        if class_labels is None:
+            decisions = np.where(fused >= 0.0, 1, -1)
+        else:
+            decisions = np.array([class_labels[i] for i in np.argmax(fused, axis=1)])
+        score = _score_metrics((metric,), fused, decisions, labels, class_labels)[metric]
         if best is None or score > best[2]:
             best = (weights, fused, score)
     if best is None:

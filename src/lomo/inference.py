@@ -12,16 +12,15 @@ pairwise distance >= t_eff + 1:
 * ``infer_brute`` enumerates every feasible placement. It exists as a
   testing oracle and is guarded against large instances.
 
-All solvers resolve the model's coverage radius through ``effective_t``, so
-the constraint always admits at least one placement. Tie-breaking is total
+Every solver takes ``(model, sample)`` and uses the model's stored coverage
+radius, shrunk per sequence by ``effective_t`` so the constraint always
+admits at least one placement; nothing overrides it. Tie-breaking is total
 and documented per solver, making every result deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Optional
 
 import numpy as np
 
@@ -29,29 +28,6 @@ from .core import LatentAssignment, Model, SequenceSample, score_fixed
 from .errors import DataError, InfeasibleError
 
 BRUTE_FORCE_GUARD = 10**7
-
-SOLVER_NAMES = ("greedy", "dp", "brute")
-
-
-@dataclass(frozen=True)
-class InferenceConfig:
-    """Solver choice plus coverage handling.
-
-    ``coverage_t`` overrides the model's stored radius when given. With
-    ``clamp`` enabled (the default) the radius is shrunk via ``effective_t``
-    whenever the sequence is too short for it; otherwise an infeasible
-    radius raises.
-    """
-
-    solver: str = "greedy"
-    coverage_t: Optional[int] = None
-    clamp: bool = True
-
-    def __post_init__(self):
-        if self.solver not in SOLVER_NAMES:
-            raise ValueError(f"solver must be one of {SOLVER_NAMES}, got {self.solver!r}")
-        if self.coverage_t is not None and self.coverage_t < 0:
-            raise ValueError("coverage_t must be non-negative")
 
 
 def effective_t(n_frames: int, n_events: int, t: int) -> int:
@@ -72,18 +48,6 @@ def effective_t(n_frames: int, n_events: int, t: int) -> int:
     return t1
 
 
-def _resolve_t(model: Model, sample: SequenceSample, coverage_t, clamp: bool) -> int:
-    t = model.coverage if coverage_t is None else int(coverage_t)
-    if clamp:
-        return effective_t(sample.n_frames, model.n_events, t)
-    m, n = model.n_events, sample.n_frames
-    if n < m or (m - 1) * (t + 1) + 1 > n:
-        raise InfeasibleError(
-            f"coverage radius t={t} admits no placement of {m} events in {n} frames"
-        )
-    return t
-
-
 def _responses(model: Model, sample: SequenceSample) -> np.ndarray:
     if model.dim != sample.dim:
         raise DataError(
@@ -92,12 +56,7 @@ def _responses(model: Model, sample: SequenceSample) -> np.ndarray:
     return model.templates @ sample.frames.T  # (M, N)
 
 
-def infer_greedy(
-    model: Model,
-    sample: SequenceSample,
-    coverage_t: Optional[int] = None,
-    clamp: bool = True,
-) -> LatentAssignment:
+def infer_greedy(model: Model, sample: SequenceSample) -> LatentAssignment:
     """Greedy suppression solver.
 
     Templates are processed in fixed index order. Each takes the remaining
@@ -106,7 +65,7 @@ def infer_greedy(
     set. Raises if the candidates run out before all templates are placed,
     which can happen when the suppression windows tile the whole sequence.
     """
-    t_eff = _resolve_t(model, sample, coverage_t, clamp)
+    t_eff = effective_t(sample.n_frames, model.n_events, model.coverage)
     resp = _responses(model, sample)
     n = sample.n_frames
     alive = np.ones(n, dtype=bool)
@@ -156,12 +115,7 @@ def _ordering_value_and_positions(resp_rows, n: int, gap: int):
     return best, positions
 
 
-def infer_dp(
-    model: Model,
-    sample: SequenceSample,
-    coverage_t: Optional[int] = None,
-    clamp: bool = True,
-) -> LatentAssignment:
+def infer_dp(model: Model, sample: SequenceSample) -> LatentAssignment:
     """Exact solver.
 
     Enumerates the M! temporal orderings; within each, the best positions
@@ -170,7 +124,7 @@ def infer_dp(
     rank, ties across positions to the lexicographically smallest position
     vector.
     """
-    t_eff = _resolve_t(model, sample, coverage_t, clamp)
+    t_eff = effective_t(sample.n_frames, model.n_events, model.coverage)
     resp = _responses(model, sample)
     m, n = resp.shape
     gap = t_eff + 1
@@ -200,18 +154,13 @@ def infer_dp(
     return score_fixed(model, sample, best_k, t_eff=t_eff)
 
 
-def infer_brute(
-    model: Model,
-    sample: SequenceSample,
-    coverage_t: Optional[int] = None,
-    clamp: bool = True,
-) -> LatentAssignment:
+def infer_brute(model: Model, sample: SequenceSample) -> LatentAssignment:
     """Exhaustive oracle over all feasible placements.
 
     Same tie-breaking as ``infer_dp``. Guarded: refuses instances with
     N^M above ``BRUTE_FORCE_GUARD``.
     """
-    t_eff = _resolve_t(model, sample, coverage_t, clamp)
+    t_eff = effective_t(sample.n_frames, model.n_events, model.coverage)
     m = model.n_events
     n = sample.n_frames
     if n**m > BRUTE_FORCE_GUARD:
@@ -251,8 +200,3 @@ SOLVERS = {
     "brute": infer_brute,
 }
 
-
-def infer(model: Model, sample: SequenceSample, config: InferenceConfig) -> LatentAssignment:
-    """Run the solver named by ``config`` on one sample."""
-    fn = SOLVERS[config.solver]
-    return fn(model, sample, coverage_t=config.coverage_t, clamp=config.clamp)

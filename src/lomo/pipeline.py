@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Model, SequenceSample
+from .core import MAX_EVENTS, POOL_MODES, Model, SequenceSample
 from .errors import DataError
 from .inference import SOLVERS
 from .training import TrainConfig, TrainReport, train
@@ -92,6 +92,16 @@ def derive_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([int(base_seed), int(index)]).generate_state(1, np.uint64)[0])
 
 
+def one_vs_rest(
+    samples: Sequence[SequenceSample], positive_class: int
+) -> List[SequenceSample]:
+    """Binary relabelling: +1 for ``positive_class``, -1 for every other label."""
+    return [
+        SequenceSample(s.id, 1 if s.label == positive_class else -1, s.frames, s.group)
+        for s in samples
+    ]
+
+
 def train_spec(
     dataset: Sequence[SequenceSample],
     spec: ModelSpec,
@@ -107,12 +117,11 @@ def train_multiclass(
     spec: ModelSpec,
     class_labels: Optional[Sequence[int]] = None,
     solver: str = "greedy",
-    jobs: int = 1,
 ) -> MulticlassModel:
     """One-vs-all reduction: each class trains a binary model against the rest.
 
     Per-class seeds derive deterministically from the base seed and the
-    class position, so runs reproduce regardless of scheduling.
+    class position.
     """
     if class_labels is None:
         class_labels = sorted({s.label for s in dataset})
@@ -129,23 +138,10 @@ def train_multiclass(
         raise DataError(f"classes with zero samples: {empty}")
 
     base = spec.resolved()
-
-    def train_one(ci: int) -> Model:
-        cls = class_labels[ci]
-        relabeled = [
-            SequenceSample(s.id, 1 if s.label == cls else -1, s.frames, s.group)
-            for s in dataset
-        ]
+    models = []
+    for ci, cls in enumerate(class_labels):
         cfg = replace(base, seed=derive_seed(base.seed, ci))
-        return train(relabeled, cfg, solver=solver).model
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool_:
-            models = list(pool_.map(train_one, range(len(class_labels))))
-    else:
-        models = [train_one(ci) for ci in range(len(class_labels))]
+        models.append(train(one_vs_rest(dataset, cls), cfg, solver=solver).model)
     return MulticlassModel(class_labels=list(class_labels), per_class=models)
 
 
@@ -252,7 +248,7 @@ def save_model(path, model: Model, kind: str = "LOMo", seed: int = 0) -> None:
     header = _HEADER.pack(
         MODEL_MAGIC,
         KINDS.index(kind),
-        ("mean", "max").index(model.pooling),
+        POOL_MODES.index(model.pooling),
         1 if has_global else 0,
         model.n_events,
         model.dim,
@@ -279,8 +275,13 @@ def load_model(path) -> LoadedModel:
     magic, kind_code, pool_code, has_global, m, dim, coverage, gamma_g, seed = _HEADER.unpack(
         blob[: _HEADER.size]
     )
-    if kind_code >= len(KINDS) or pool_code > 1:
+    if kind_code >= len(KINDS) or pool_code >= len(POOL_MODES):
         raise DataError(f"{path}: unsupported kind or pooling code")
+    # Bound the header before sizing anything from it: M! grows too fast.
+    if not 1 <= m <= MAX_EVENTS or dim < 1:
+        raise DataError(
+            f"{path}: header gives M={m}, d={dim}; need 1 <= M <= {MAX_EVENTS} and d >= 1"
+        )
     n_costs = factorial(m)
     expected = _HEADER.size + 8 * (m * dim + n_costs + (dim if has_global else 0))
     if len(blob) != expected:
@@ -293,12 +294,15 @@ def load_model(path) -> LoadedModel:
     global_template = None
     if has_global:
         global_template = np.frombuffer(blob, dtype="<f8", count=dim, offset=offset)
-    model = Model(
-        templates=templates,
-        ordering_costs=costs,
-        global_template=global_template,
-        gamma_g=gamma_g,
-        pooling=("mean", "max")[pool_code],
-        coverage=coverage,
-    )
+    try:
+        model = Model(
+            templates=templates,
+            ordering_costs=costs,
+            global_template=global_template,
+            gamma_g=gamma_g,
+            pooling=POOL_MODES[pool_code],
+            coverage=coverage,
+        )
+    except ValueError as exc:
+        raise DataError(f"{path}: invalid model parameters: {exc}") from exc
     return LoadedModel(model=model, kind=KINDS[kind_code], seed=seed)

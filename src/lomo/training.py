@@ -167,6 +167,15 @@ def _check_dataset(dataset: Sequence[SequenceSample]) -> int:
     return dim
 
 
+def _regularizer(model: Model, config: TrainConfig) -> float:
+    """lambda1/2 (sum_i ||w_i||^2 + ||w_g||^2) + lambda2/2 sum_j c_j^2."""
+    reg = 0.5 * config.lambda1 * float(np.sum(model.templates**2))
+    if model.global_template is not None:
+        reg += 0.5 * config.lambda1 * float(np.sum(model.global_template**2))
+    reg += 0.5 * config.lambda2 * float(np.sum(model.ordering_costs**2))
+    return reg
+
+
 def objective(
     model: Model,
     dataset: Sequence[SequenceSample],
@@ -177,15 +186,11 @@ def objective(
     if not dataset:
         raise DataError("objective requires a non-empty dataset")
     infer_fn = SOLVERS[solver]
-    reg = 0.5 * config.lambda1 * float(np.sum(model.templates**2))
-    if model.global_template is not None:
-        reg += 0.5 * config.lambda1 * float(np.sum(model.global_template**2))
-    reg += 0.5 * config.lambda2 * float(np.sum(model.ordering_costs**2))
     hinge = 0.0
     for sample in dataset:
         s = infer_fn(model, sample).total
         hinge += max(0.0, 1.0 - sample.label * s)
-    return reg + hinge / len(dataset)
+    return _regularizer(model, config) + hinge / len(dataset)
 
 
 def train(
@@ -231,12 +236,8 @@ def fixed_assignment_loss(
     config: TrainConfig,
 ) -> float:
     """Single-sample regularized hinge loss with the placement frozen at k."""
-    reg = 0.5 * config.lambda1 * float(np.sum(model.templates**2))
-    if model.global_template is not None:
-        reg += 0.5 * config.lambda1 * float(np.sum(model.global_template**2))
-    reg += 0.5 * config.lambda2 * float(np.sum(model.ordering_costs**2))
     s = score_fixed(model, sample, k).total
-    return reg + max(0.0, 1.0 - sample.label * s)
+    return _regularizer(model, config) + max(0.0, 1.0 - sample.label * s)
 
 
 def fixed_assignment_gradient(

@@ -7,6 +7,7 @@ import pytest
 
 from lomo import load_model
 from lomo.cli import main
+from conftest import write_bad_model_headers
 
 
 @pytest.fixture
@@ -91,6 +92,38 @@ class TestTrain:
         assert rc == 3
         assert "shorter than number of events" in capsys.readouterr().err
 
+    def test_positive_class_trains_on_relabelled_set(self, tmp_path, rng):
+        from lomo import (
+            Manifest, ManifestEntry, ModelSpec, SequenceSample, TrainConfig,
+            load_dataset, save_manifest, save_model, train_spec, write_lseq,
+        )
+
+        entries = []
+        for i in range(9):
+            sid, label = f"mc{i}", i % 3
+            write_lseq(
+                tmp_path / f"{sid}.lseq",
+                [SequenceSample(sid, label, rng.standard_normal((8, 3)))],
+            )
+            entries.append(ManifestEntry(path=f"{sid}.lseq", label=label))
+        save_manifest(tmp_path / "mc.json", Manifest(1, 3, entries))
+        out = tmp_path / "cli.bin"
+        assert main([
+            "train", "--manifest", str(tmp_path / "mc.json"), "--positive-class", "1",
+            "--events", "2", "--coverage-t", "1", "--maxiter", "100", "--seed", "5",
+            "--out", str(out),
+        ]) == 0
+
+        samples, _ = load_dataset(tmp_path / "mc.json")
+        relabelled = [
+            SequenceSample(s.id, 1 if s.label == 1 else -1, s.frames, s.group)
+            for s in samples
+        ]
+        spec = ModelSpec("lomo", TrainConfig(M=2, coverage_t=1, maxiter=100, seed=5))
+        expected = tmp_path / "direct.bin"
+        save_model(expected, train_spec(relabelled, spec).model, kind=spec.kind, seed=5)
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_env_seed_fallback(self, synth_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("LOMO_SEED", "777")
         out = tmp_path / "env.bin"
@@ -159,6 +192,15 @@ class TestPredict:
         for row in read_tsv(out)[1:]:
             score, decision = float(row[2]), int(row[3])
             assert decision == (1 if score >= 0 else -1)
+
+    def test_untrusted_model_header_exits_2(self, synth_dir, tmp_path, capsys):
+        for path in write_bad_model_headers(tmp_path):
+            rc = main([
+                "predict", "--model", str(path), "--manifest",
+                str(synth_dir / "test.json"), "--out", str(tmp_path / "s.tsv"),
+            ])
+            assert rc == 2, path.name
+            assert "data error" in capsys.readouterr().err
 
 
 class TestEval:

@@ -305,14 +305,6 @@ class TestCrossValidate:
         assert payload["aggregate"]["acc"] == report.aggregate["acc"]
         assert payload["config_fingerprint"] == report.config_fingerprint
 
-    def test_jobs_parallel_matches_serial(self, rng):
-        data = separable_binary(rng)
-        folds = make_folds(data, "random_k_fold", k=3, seed=4)
-        spec = ModelSpec("MIL", TrainConfig(M=1, maxiter=50, seed=6, coverage_t=0))
-        serial = cross_validate(data, folds, spec, metrics=("acc",), jobs=1)
-        parallel = cross_validate(data, folds, spec, metrics=("acc",), jobs=3)
-        assert serial.per_fold == parallel.per_fold
-
 
 class TestGridSearch:
     def test_singleton_grid_returns_that_config(self, rng):
@@ -393,3 +385,17 @@ class TestFusionWeightSearch:
         )
         assert score == 1.0
         assert weights == (0.0, 0.5)
+
+    @pytest.mark.parametrize("metric", ["acc", "map"])
+    @pytest.mark.parametrize("class_labels", [None, [2, 5, 7]])
+    def test_multiclass_tables_map_columns_to_class_labels(self, metric, class_labels):
+        labels = np.array([2, 5, 7, 2, 5, 7])
+        good = (labels[:, None] == np.array([2, 5, 7])[None, :]).astype(float)
+        wrong = np.roll(good, 1, axis=1)  # every row votes for another class
+        weights, fused, score = search_fusion_weights(
+            [good, wrong], labels, metric=metric, weight_grid=(0.0, 1.0),
+            class_labels=class_labels,
+        )
+        assert fused.shape == (6, 3)
+        assert weights == (1.0, 0.0)
+        assert score == 1.0

@@ -6,11 +6,9 @@ import pytest
 
 from lomo import (
     InfeasibleError,
-    InferenceConfig,
     Model,
     SequenceSample,
     effective_t,
-    infer,
     infer_brute,
     infer_dp,
     infer_greedy,
@@ -206,25 +204,3 @@ class TestRuntimeShape:
         # 10x the frames should cost far less than quadratically more;
         # the bound is deliberately loose to stay timing-noise proof
         assert best_time(2000) <= 40 * best_time(200)
-
-
-class TestDispatch:
-    def test_infer_config_roundtrip(self, rng):
-        model, sample = random_instance(rng)
-        for name in ("greedy", "dp", "brute"):
-            a = infer(model, sample, InferenceConfig(solver=name))
-            assert a.total == {"greedy": infer_greedy, "dp": infer_dp, "brute": infer_brute}[
-                name
-            ](model, sample).total
-
-    def test_coverage_override_and_noclamp(self):
-        model = Model(templates=np.zeros((2, 2)), ordering_costs=np.zeros(2), coverage=0)
-        sample = SequenceSample("o", 1, np.ones((4, 2)))
-        a = infer(model, sample, InferenceConfig(solver="greedy", coverage_t=1))
-        assert a.k == (0, 2)
-        with pytest.raises(InfeasibleError):
-            infer(model, sample, InferenceConfig(solver="greedy", coverage_t=9, clamp=False))
-
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(ValueError):
-            InferenceConfig(solver="beam")

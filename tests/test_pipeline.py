@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from lomo import (
     train_multiclass,
     train_spec,
 )
+from conftest import write_bad_model_headers
 
 
 def make_sample(frames, label=1, sid="s", group=None):
@@ -296,6 +299,13 @@ class TestPersistence:
         path.write_bytes(b"NOTAMODEL" + b"\x00" * 64)
         with pytest.raises(DataError, match="magic|truncated"):
             load_model(path)
+
+    def test_untrusted_header_rejected_quickly(self, tmp_path):
+        for path in write_bad_model_headers(tmp_path):
+            tick = time.perf_counter()
+            with pytest.raises(DataError):
+                load_model(path)
+            assert time.perf_counter() - tick < 1.0, path.name
 
     def test_truncated_payload_rejected(self, tmp_path, rng):
         model = Model(templates=rng.standard_normal((2, 3)), ordering_costs=np.zeros(2))
