@@ -54,7 +54,7 @@ from .pipeline import (
     save_model,
     train_spec,
 )
-from .training import TrainConfig
+from .training import TrainConfig, objective
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,11 +124,13 @@ def cmd_train(args, argv) -> int:
         samples = one_vs_rest(samples, args.positive_class)
     config = _config_from_args(args)
     spec = ModelSpec(args.model_kind, config)
-    report = train_spec(samples, spec, solver=args.solver)
+    report = train_spec(samples, spec, solver=args.solver, trace_every=0)
     save_model(args.out, report.model, kind=spec.kind, seed=config.seed)
-    resolved = asdict(spec.resolved())
-    _write_run_record(args.out, argv, resolved, config.seed, [args.out], started)
-    final_obj = report.trace[-1][1] if report.trace else float("nan")
+    resolved = spec.resolved()
+    _write_run_record(args.out, argv, asdict(resolved), config.seed, [args.out], started)
+    # The last point of a full trace is this same value: the objective of
+    # the final model.
+    final_obj = objective(report.model, samples, resolved, args.solver)
     print(
         f"trained {spec.kind} on {len(samples)} sequences: "
         f"violations={report.violations} objective={final_obj:.6g} "
@@ -399,7 +401,8 @@ def build_parser() -> _Parser:
     _add_train_flags(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--positive-class", type=int, default=None,
-                   help="binarize a multiclass manifest against this class")
+                   help="binarize a multiclass manifest against this class "
+                        "(at least one sequence must have it)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -40,7 +40,9 @@ class SequenceSample:
 
     ``label`` is -1/+1 in binary mode or a class index >= 0 in multiclass
     mode. ``group`` optionally names the subject (or other unit) the sample
-    belongs to, used to build group-disjoint evaluation folds.
+    belongs to, used to build group-disjoint evaluation folds. The frames
+    are read-only, so ``pool`` keeps each pooled vector on the sample once
+    it is computed.
     """
 
     id: str
@@ -60,6 +62,7 @@ class SequenceSample:
         frames.setflags(write=False)
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "label", int(self.label))
+        object.__setattr__(self, "_pooled", {})  # pooling mode -> vector, filled by pool
 
     @property
     def n_frames(self) -> int:
@@ -183,14 +186,25 @@ def perm_rank(k: Sequence[int]) -> int:
 
 
 def pool(sample: SequenceSample, mode: str = "mean") -> np.ndarray:
-    """Coordinate-wise mean or max over all frames of the sample."""
+    """Coordinate-wise mean or max over all frames of the sample.
+
+    The first call per sample and mode computes the vector and stores it,
+    read-only, on the sample; later calls return that same array.
+    """
+    cached = sample._pooled.get(mode)
+    if cached is not None:
+        return cached
     if mode == "mean":
         # Summing each coordinate in sorted order fixes the accumulation
         # order, making the result bit-identical under frame permutation.
-        return np.sort(sample.frames, axis=0).sum(axis=0) / sample.n_frames
-    if mode == "max":
-        return sample.frames.max(axis=0)
-    raise ValueError(f"unknown pooling mode {mode!r}")
+        pooled = np.sort(sample.frames, axis=0).sum(axis=0) / sample.n_frames
+    elif mode == "max":
+        pooled = sample.frames.max(axis=0)
+    else:
+        raise ValueError(f"unknown pooling mode {mode!r}")
+    pooled.setflags(write=False)
+    sample._pooled[mode] = pooled
+    return pooled
 
 
 def score_fixed(

@@ -355,7 +355,7 @@ def cross_validate(
             raise DataError(f"fold {fold} has no training samples")
         assert not ({s.id for s in train_set} & {s.id for s in eval_set})
         if binary:
-            model = train_spec(train_set, spec, solver=solver).model
+            model = train_spec(train_set, spec, solver=solver, trace_every=0).model
             scores = predict_table(model, eval_set, solver)
             decisions = np.where(scores >= 0.0, 1, -1)
         else:

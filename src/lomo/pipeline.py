@@ -95,7 +95,13 @@ def derive_seed(base_seed: int, index: int) -> int:
 def one_vs_rest(
     samples: Sequence[SequenceSample], positive_class: int
 ) -> List[SequenceSample]:
-    """Binary relabelling: +1 for ``positive_class``, -1 for every other label."""
+    """Binary relabelling: +1 for ``positive_class``, -1 for every other label.
+
+    Raises ``DataError`` when no sample has ``positive_class``, since the
+    relabelled set would hold negatives only.
+    """
+    if not any(s.label == positive_class for s in samples):
+        raise DataError(f"no sample has the positive class {positive_class}")
     return [
         SequenceSample(s.id, 1 if s.label == positive_class else -1, s.frames, s.group)
         for s in samples
@@ -141,7 +147,7 @@ def train_multiclass(
     models = []
     for ci, cls in enumerate(class_labels):
         cfg = replace(base, seed=derive_seed(base.seed, ci))
-        models.append(train(one_vs_rest(dataset, cls), cfg, solver=solver).model)
+        models.append(train(one_vs_rest(dataset, cls), cfg, solver=solver, trace_every=0).model)
     return MulticlassModel(class_labels=list(class_labels), per_class=models)
 
 
@@ -277,6 +283,8 @@ def load_model(path) -> LoadedModel:
     )
     if kind_code >= len(KINDS) or pool_code >= len(POOL_MODES):
         raise DataError(f"{path}: unsupported kind or pooling code")
+    if has_global not in (0, 1):
+        raise DataError(f"{path}: has_global byte must be 0 or 1, got {has_global}")
     # Bound the header before sizing anything from it: M! grows too fast.
     if not 1 <= m <= MAX_EVENTS or dim < 1:
         raise DataError(

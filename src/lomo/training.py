@@ -201,16 +201,24 @@ def train(
 ) -> TrainReport:
     """Run ``maxiter`` stochastic steps over uniformly resampled sequences.
 
-    The objective is recorded before the first step and then every
-    ``trace_every`` iterations (default: about 100 points per run).
+    ``trace_every`` sets how often the full objective is recorded in
+    ``TrainReport.trace``: ``None`` (the default) records about 100 points
+    per run, ``k > 0`` records before the first step, every ``k`` steps and
+    after the last step, and ``0`` records nothing. Each point costs one
+    solver call per sample; the trace never touches the random stream, so
+    the model and ``violations`` do not depend on it.
     """
     _check_dataset(dataset)
+    if trace_every is not None and trace_every < 0:
+        raise ValueError(f"trace_every must be non-negative or None, got {trace_every}")
     rng = np.random.default_rng(config.seed)
     model = init_model(config, dataset[0].dim, rng)
     if trace_every is None:
         trace_every = max(1, config.maxiter // 100)
     started = time.perf_counter()
-    trace: List[Tuple[int, float]] = [(0, objective(model, dataset, config, solver))]
+    trace: List[Tuple[int, float]] = []
+    if trace_every:
+        trace.append((0, objective(model, dataset, config, solver)))
     violations = 0
     n = len(dataset)
     for it in range(1, config.maxiter + 1):
@@ -219,7 +227,7 @@ def train(
         if stepped is not model:
             violations += 1
             model = stepped
-        if it % trace_every == 0 or it == config.maxiter:
+        if trace_every and (it % trace_every == 0 or it == config.maxiter):
             trace.append((it, objective(model, dataset, config, solver)))
     return TrainReport(
         model=model,

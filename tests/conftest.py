@@ -5,6 +5,9 @@ import pytest
 
 from lomo import Model, SequenceSample
 
+# LOMO1 container header: magic kind pooling has_global M d t gamma seed
+MODEL_HEADER = struct.Struct("<5sBBBIIIdQ")
+
 
 def random_instance(rng, n_max=12, m_choices=(1, 2, 3), d_max=8, t_max=2,
                     n_min=None, with_global=False):
@@ -33,13 +36,14 @@ def random_instance(rng, n_max=12, m_choices=(1, 2, 3), d_max=8, t_max=2,
 
 def write_bad_model_headers(directory):
     """Model containers whose headers lie: M far above MAX_EVENTS (no
-    payload), d = 0, and a NaN gamma_g; the last two carry payloads sized
-    to match their headers."""
-    header = struct.Struct("<5sBBBIIIdQ")  # magic kind pooling has_global M d t gamma seed
+    payload), d = 0, a NaN gamma_g, and a has_global byte of 2; the last
+    three carry payloads sized to match their headers (has_global = 2 sized
+    as if a global template were present)."""
     blobs = {
-        "huge_m": header.pack(b"LOMO1", 3, 0, 0, 100000, 1, 0, 0.0, 0),
-        "zero_d": header.pack(b"LOMO1", 3, 0, 0, 1, 0, 0, 0.0, 0) + bytes(8),
-        "nan_gamma": header.pack(b"LOMO1", 3, 0, 1, 1, 2, 0, float("nan"), 0) + bytes(8 * 5),
+        "huge_m": MODEL_HEADER.pack(b"LOMO1", 3, 0, 0, 100000, 1, 0, 0.0, 0),
+        "zero_d": MODEL_HEADER.pack(b"LOMO1", 3, 0, 0, 1, 0, 0, 0.0, 0) + bytes(8),
+        "nan_gamma": MODEL_HEADER.pack(b"LOMO1", 3, 0, 1, 1, 2, 0, float("nan"), 0) + bytes(8 * 5),
+        "has_global_2": MODEL_HEADER.pack(b"LOMO1", 3, 0, 2, 1, 2, 0, 0.5, 0) + bytes(8 * 5),
     }
     paths = []
     for name, blob in blobs.items():

@@ -22,6 +22,21 @@ def synth_dir(tmp_path):
     return out
 
 
+def write_three_class_manifest(directory, rng):
+    """Nine 8-frame sequences, labels 0, 1, 2 in turn, listed in mc.json."""
+    from lomo import Manifest, ManifestEntry, SequenceSample, save_manifest, write_lseq
+
+    entries = []
+    for i in range(9):
+        sid, label = f"mc{i}", i % 3
+        write_lseq(
+            directory / f"{sid}.lseq",
+            [SequenceSample(sid, label, rng.standard_normal((8, 3)))],
+        )
+        entries.append(ManifestEntry(path=f"{sid}.lseq", label=label))
+    save_manifest(directory / "mc.json", Manifest(1, 3, entries))
+
+
 def read_tsv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh, delimiter="\t"))
@@ -94,19 +109,10 @@ class TestTrain:
 
     def test_positive_class_trains_on_relabelled_set(self, tmp_path, rng):
         from lomo import (
-            Manifest, ManifestEntry, ModelSpec, SequenceSample, TrainConfig,
-            load_dataset, save_manifest, save_model, train_spec, write_lseq,
+            ModelSpec, SequenceSample, TrainConfig, load_dataset, save_model, train_spec,
         )
 
-        entries = []
-        for i in range(9):
-            sid, label = f"mc{i}", i % 3
-            write_lseq(
-                tmp_path / f"{sid}.lseq",
-                [SequenceSample(sid, label, rng.standard_normal((8, 3)))],
-            )
-            entries.append(ManifestEntry(path=f"{sid}.lseq", label=label))
-        save_manifest(tmp_path / "mc.json", Manifest(1, 3, entries))
+        write_three_class_manifest(tmp_path, rng)
         out = tmp_path / "cli.bin"
         assert main([
             "train", "--manifest", str(tmp_path / "mc.json"), "--positive-class", "1",
@@ -123,6 +129,32 @@ class TestTrain:
         expected = tmp_path / "direct.bin"
         save_model(expected, train_spec(relabelled, spec).model, kind=spec.kind, seed=5)
         assert out.read_bytes() == expected.read_bytes()
+
+    def test_absent_positive_class_exits_2(self, tmp_path, rng, capsys):
+        write_three_class_manifest(tmp_path, rng)
+        out = tmp_path / "cli.bin"
+        assert main([
+            "train", "--manifest", str(tmp_path / "mc.json"), "--positive-class", "9",
+            "--maxiter", "10", "--out", str(out),
+        ]) == 2
+        assert "positive class 9" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,solver", [("alomo", "greedy"), ("lomo", "dp")])
+    def test_printed_objective_is_the_last_trace_point(self, synth_dir, capsys, tmp_path,
+                                                       kind, solver):
+        from lomo import ModelSpec, TrainConfig, load_dataset, train_spec
+
+        assert main([
+            "train", "--manifest", str(synth_dir / "train.json"), "--model-kind", kind,
+            "--events", "2", "--gamma-g", "0.4", "--coverage-t", "1", "--maxiter", "250",
+            "--seed", "3", "--solver", solver, "--out", str(tmp_path / "m.bin"),
+        ]) == 0
+        printed = capsys.readouterr().out.split("objective=")[1].split()[0]
+        samples, _ = load_dataset(synth_dir / "train.json")
+        spec = ModelSpec(kind, TrainConfig(M=2, gamma_g=0.4, coverage_t=1, maxiter=250, seed=3))
+        trace = train_spec(samples, spec, solver=solver).trace
+        assert printed == f"{trace[-1][1]:.6g}"
 
     def test_env_seed_fallback(self, synth_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("LOMO_SEED", "777")

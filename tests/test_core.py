@@ -91,6 +91,26 @@ class TestPool:
         with pytest.raises(ValueError):
             pool(make_sample([[1.0]]), "median")
 
+    @pytest.mark.parametrize("mode", ["mean", "max"])
+    def test_repeat_calls_return_the_same_read_only_array(self, mode, rng):
+        frames = rng.standard_normal((30, 5))
+        sample = make_sample(frames)
+        first = pool(sample, mode)
+        assert pool(sample, mode) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        fresh = pool(make_sample(frames), mode)
+        assert fresh is not first
+        assert first.tobytes() == fresh.tobytes()
+
+    def test_modes_are_cached_separately(self, rng):
+        sample = make_sample(rng.standard_normal((6, 3)))
+        mean, peak = pool(sample, "mean"), pool(sample, "max")
+        assert mean is not peak
+        assert pool(sample, "mean") is mean and pool(sample, "max") is peak
+        assert np.array_equal(peak, sample.frames.max(axis=0))
+
 
 class TestScoreFixed:
     def test_single_template_dot_product(self):

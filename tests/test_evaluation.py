@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -304,6 +305,31 @@ class TestCrossValidate:
         payload = json.loads(report.to_json())
         assert payload["aggregate"]["acc"] == report.aggregate["acc"]
         assert payload["config_fingerprint"] == report.config_fingerprint
+
+    @pytest.mark.parametrize(
+        "multiclass,metrics,digest",
+        [
+            (False, ("acc", "auc", "eer"),
+             "ea6ac588cebb1837f084338e3fab9afea0d14664a878c298b3f80eea06cf5465"),
+            (True, ("acc", "avgclassacc", "map"),
+             "102c1acb771a910f8960ca62e20b35fe28357ee10071963212bd74165dc7f19c"),
+        ],
+    )
+    def test_alomo_report_matches_recorded_bytes(self, multiclass, metrics, digest):
+        """Pins the whole seeded report, recorded when every fold still
+        computed the objective trace and re-pooled every sequence."""
+        data, _ = generate_synthetic(SynthConfig(
+            dim=5, n_min=14, n_max=18, m_true=2, n_pos=24, n_neg=24, noise_sigma=0.2,
+            neg_mode="events_absent", min_gap=1, seed=7,
+        ))
+        if multiclass:
+            data = [SequenceSample(s.id, i % 3, s.frames, s.group) for i, s in enumerate(data)]
+        spec = ModelSpec("alomo", TrainConfig(
+            M=2, gamma_g=0.5, coverage_t=1, maxiter=300, seed=7, init_scale=1e-2,
+        ))
+        folds = make_folds(data, "random_k_fold", k=3, seed=7)
+        text = cross_validate(data, folds, spec, metrics, solver="dp").to_json()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestGridSearch:

@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lomo import (
     DataError,
@@ -18,7 +19,29 @@ from lomo import (
     train_multiclass,
     train_spec,
 )
-from conftest import write_bad_model_headers
+from lomo.pipeline import one_vs_rest
+from conftest import MODEL_HEADER, write_bad_model_headers
+
+# M=2, d=3, ALOMo with a global template: 6 template, 2 cost and 3 global values.
+VALID_CONTAINER = (
+    MODEL_HEADER.pack(b"LOMO1", 7, 0, 1, 2, 3, 1, 0.5, 11)
+    + np.arange(11, dtype="<f8").tobytes()
+)
+
+_small_or_any_u32 = st.one_of(st.integers(0, 10), st.integers(0, 2**32 - 1))
+FUZZED_CONTAINERS = st.one_of(
+    st.binary(max_size=200),
+    st.binary(max_size=200).map(lambda tail: b"LOMO1" + tail),
+    st.builds(
+        lambda fields, payload: MODEL_HEADER.pack(b"LOMO1", *fields) + payload,
+        st.tuples(
+            st.integers(0, 255), st.integers(0, 255), st.integers(0, 255),
+            _small_or_any_u32, _small_or_any_u32, _small_or_any_u32,
+            st.floats(), st.integers(0, 2**64 - 1),
+        ),
+        st.binary(max_size=400),
+    ),
+)
 
 
 def make_sample(frames, label=1, sid="s", group=None):
@@ -98,6 +121,12 @@ class TestBinaryAndMulticlass:
         spec = ModelSpec("MIL", TrainConfig(maxiter=10))
         with pytest.raises(DataError, match="zero samples"):
             train_multiclass(data, spec, class_labels=[0, 1, 2])
+
+    def test_one_vs_rest_rejects_an_absent_positive_class(self, rng):
+        data = [make_sample(rng.standard_normal((3, 2)), i % 3, f"x{i}") for i in range(6)]
+        assert [s.label for s in one_vs_rest(data, 2)] == [-1, -1, 1, -1, -1, 1]
+        with pytest.raises(DataError, match="positive class 9"):
+            one_vs_rest(data, 9)
 
 
 class TestPredict:
@@ -306,6 +335,40 @@ class TestPersistence:
             with pytest.raises(DataError):
                 load_model(path)
             assert time.perf_counter() - tick < 1.0, path.name
+
+    def test_has_global_byte_must_be_zero_or_one(self, tmp_path):
+        path = next(p for p in write_bad_model_headers(tmp_path) if p.stem == "has_global_2")
+        with pytest.raises(DataError, match="has_global"):
+            load_model(path)
+
+    @given(cut=st.integers(0, len(VALID_CONTAINER) - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_truncated_containers_raise_data_error(self, tmp_path_factory, cut):
+        path = tmp_path_factory.mktemp("cut") / "model.bin"
+        path.write_bytes(VALID_CONTAINER[:cut])
+        tick = time.perf_counter()
+        with pytest.raises(DataError):
+            load_model(path)
+        assert time.perf_counter() - tick < 1.0
+
+    @given(blob=FUZZED_CONTAINERS)
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_containers_fail_cleanly_or_round_trip(self, tmp_path_factory, blob):
+        """Random bytes either raise DataError or, when they happen to form
+        a valid container, load into a model that saves back to the same
+        bytes."""
+        folder = tmp_path_factory.mktemp("fuzz")
+        path = folder / "model.bin"
+        path.write_bytes(blob)
+        tick = time.perf_counter()
+        try:
+            loaded = load_model(path)
+        except DataError:
+            loaded = None
+        assert time.perf_counter() - tick < 1.0
+        if loaded is not None:
+            save_model(folder / "again.bin", loaded.model, kind=loaded.kind, seed=loaded.seed)
+            assert (folder / "again.bin").read_bytes() == blob
 
     def test_truncated_payload_rejected(self, tmp_path, rng):
         model = Model(templates=rng.standard_normal((2, 3)), ordering_costs=np.zeros(2))

@@ -15,6 +15,7 @@ from lomo import (
     init_model,
     objective,
     pool,
+    save_model,
     score_fixed,
     sgd_step,
     train,
@@ -138,6 +139,28 @@ class TestTrain:
         report = train(data, TrainConfig(M=1, maxiter=200, seed=2, coverage_t=1))
         assert all(v >= 0.0 for _, v in report.trace)
         assert report.trace[0][0] == 0
+
+    def test_explicit_trace_interval(self, rng):
+        data = self._toy_data(rng)
+        report = train(data, TrainConfig(M=1, maxiter=25, seed=2, coverage_t=1), trace_every=10)
+        assert [it for it, _ in report.trace] == [0, 10, 20, 25]
+
+    @pytest.mark.parametrize("solver", ["greedy", "dp"])
+    def test_trace_off_keeps_the_model_and_violations(self, solver, rng, tmp_path):
+        data = self._toy_data(rng)
+        cfg = TrainConfig(M=2, gamma_g=0.3, maxiter=300, seed=6, coverage_t=1)
+        traced = train(data, cfg, solver=solver)
+        silent = train(data, cfg, solver=solver, trace_every=0)
+        assert len(traced.trace) == 101
+        assert silent.trace == []
+        assert silent.violations == traced.violations
+        for name, report in (("traced", traced), ("silent", silent)):
+            save_model(tmp_path / f"{name}.bin", report.model, kind="ALOMo", seed=6)
+        assert (tmp_path / "silent.bin").read_bytes() == (tmp_path / "traced.bin").read_bytes()
+
+    def test_negative_trace_interval_rejected(self, rng):
+        with pytest.raises(ValueError, match="trace_every"):
+            train(self._toy_data(rng), TrainConfig(M=1, maxiter=10), trace_every=-1)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
