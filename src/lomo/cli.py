@@ -54,7 +54,8 @@ from .pipeline import (
     save_model,
     train_spec,
 )
-from .training import TrainConfig, objective
+from . import training
+from .training import TrainConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,12 +126,13 @@ def cmd_train(args, argv) -> int:
     config = _config_from_args(args)
     spec = ModelSpec(args.model_kind, config)
     report = train_spec(samples, spec, solver=args.solver, trace_every=0)
-    save_model(args.out, report.model, kind=spec.kind, seed=config.seed)
     resolved = spec.resolved()
-    _write_run_record(args.out, argv, asdict(resolved), config.seed, [args.out], started)
     # The last point of a full trace is this same value: the objective of
-    # the final model.
-    final_obj = objective(report.model, samples, resolved, args.solver)
+    # the final model. Computed before anything is written, so a solver
+    # failure leaves no model file behind.
+    final_obj = training.objective(report.model, samples, resolved, args.solver)
+    save_model(args.out, report.model, kind=spec.kind, seed=config.seed)
+    _write_run_record(args.out, argv, asdict(resolved), config.seed, [args.out], started)
     print(
         f"trained {spec.kind} on {len(samples)} sequences: "
         f"violations={report.violations} objective={final_obj:.6g} "

@@ -122,19 +122,15 @@ def infer_dp(model: Model, sample: SequenceSample) -> LatentAssignment:
     are found by the suffix recurrence above, and the ordering's cost-table
     entry is added. Ties across orderings go to the smallest permutation
     rank, ties across positions to the lexicographically smallest position
-    vector. With ``gamma_g == 1`` the local part carries no weight, so the
-    enumeration is skipped and that tie-break result is returned directly.
+    vector.
     """
     t_eff = effective_t(sample.n_frames, model.n_events, model.coverage)
-    gap = t_eff + 1
-    if model.gamma_g == 1.0:
-        # Every placement ties at zero local weight, and the tie-breaking
-        # rules pick rank 1 at the earliest positions.
-        return score_fixed(model, sample, [i * gap for i in range(model.n_events)], t_eff=t_eff)
     resp = _responses(model, sample)
     m, n = resp.shape
+    gap = t_eff + 1
     # Scale responses so the per-ordering value matches the blended total up
-    # to the constant global term.
+    # to the constant global term; with gamma_g == 1 every placement ties
+    # and the tie-breaking rules pick rank 1 at the earliest positions.
     local_weight = 1.0 - model.gamma_g
     scaled = (local_weight / m) * resp
     rows = [scaled[i].tolist() for i in range(m)]

@@ -140,6 +140,23 @@ class TestTrain:
         assert "positive class 9" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_final_objective_failure_writes_nothing(self, synth_dir, tmp_path, monkeypatch,
+                                                    capsys):
+        import lomo.training
+        from lomo import InfeasibleError
+
+        def infeasible(*args, **kwargs):
+            raise InfeasibleError("greedy candidate set exhausted")
+
+        monkeypatch.setattr(lomo.training, "objective", infeasible)
+        out = tmp_path / "m.bin"
+        assert main([
+            "train", "--manifest", str(synth_dir / "train.json"), "--maxiter", "10",
+            "--out", str(out),
+        ]) == 3
+        assert "candidate set exhausted" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["data"]
+
     @pytest.mark.parametrize("kind,solver", [("alomo", "greedy"), ("lomo", "dp")])
     def test_printed_objective_is_the_last_trace_point(self, synth_dir, capsys, tmp_path,
                                                        kind, solver):

@@ -1,4 +1,3 @@
-import hashlib
 import json
 
 import numpy as np
@@ -307,17 +306,17 @@ class TestCrossValidate:
         assert payload["config_fingerprint"] == report.config_fingerprint
 
     @pytest.mark.parametrize(
-        "multiclass,metrics,digest",
-        [
-            (False, ("acc", "auc", "eer"),
-             "ea6ac588cebb1837f084338e3fab9afea0d14664a878c298b3f80eea06cf5465"),
-            (True, ("acc", "avgclassacc", "map"),
-             "102c1acb771a910f8960ca62e20b35fe28357ee10071963212bd74165dc7f19c"),
-        ],
+        "multiclass,metrics",
+        [(False, ("acc", "auc", "eer")), (True, ("acc", "avgclassacc", "map"))],
     )
-    def test_alomo_report_matches_recorded_bytes(self, multiclass, metrics, digest):
-        """Pins the whole seeded report, recorded when every fold still
-        computed the objective trace and re-pooled every sequence."""
+    def test_alomo_report_matches_traced_uncached_run(self, monkeypatch, multiclass, metrics):
+        """cross_validate skips the objective trace and reuses pooled
+        vectors; its report must equal, byte for byte, one whose folds record
+        the full trace and pool every sequence from scratch on each call."""
+        import lomo.core
+        import lomo.pipeline
+        import lomo.training
+
         data, _ = generate_synthetic(SynthConfig(
             dim=5, n_min=14, n_max=18, m_true=2, n_pos=24, n_neg=24, noise_sigma=0.2,
             neg_mode="events_absent", min_gap=1, seed=7,
@@ -328,8 +327,28 @@ class TestCrossValidate:
             M=2, gamma_g=0.5, coverage_t=1, maxiter=300, seed=7, init_scale=1e-2,
         ))
         folds = make_folds(data, "random_k_fold", k=3, seed=7)
-        text = cross_validate(data, folds, spec, metrics, solver="dp").to_json()
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+        fast = cross_validate(data, folds, spec, metrics, solver="dp").to_json()
+
+        def uncached_pool(sample, mode="mean"):
+            assert mode == "mean"
+            return np.sort(sample.frames, axis=0).sum(axis=0) / sample.n_frames
+
+        real_train = lomo.pipeline.train
+        traces = []
+
+        def traced_train(dataset, config, solver="greedy", trace_every=None):
+            report = real_train(dataset, config, solver=solver, trace_every=None)
+            traces.append(report.trace)
+            return report
+
+        monkeypatch.setattr(lomo.core, "pool", uncached_pool)
+        monkeypatch.setattr(lomo.training, "pool", uncached_pool)
+        monkeypatch.setattr(lomo.pipeline, "train", traced_train)
+        fresh = [SequenceSample(s.id, s.label, s.frames, s.group) for s in data]
+        reference = cross_validate(fresh, folds, spec, metrics, solver="dp").to_json()
+        assert len(traces) == (9 if multiclass else 3)
+        assert all(len(trace) > 1 for trace in traces)
+        assert fast == reference
 
 
 class TestGridSearch:

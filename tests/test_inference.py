@@ -180,38 +180,6 @@ class TestExactSolvers:
             assert a.perm_rank == 1
             assert a.k == (0, t + 1)
 
-    def test_gamma_one_matches_brute_and_the_enumeration(self, rng):
-        # At gamma_g == 1 infer_dp skips the enumeration; a model with zero
-        # templates and costs at gamma_g < 1 still runs it over all-tied
-        # values, which is what the enumeration saw at zero local weight.
-        for _ in range(150):
-            m = int(rng.integers(1, 5))
-            n = int(rng.integers(m, 14))
-            d = int(rng.integers(1, 6))
-            t = int(rng.integers(0, 5))
-            global_template = rng.standard_normal(d)
-            model = Model(
-                templates=rng.standard_normal((m, d)),
-                ordering_costs=rng.standard_normal(factorial(m)),
-                global_template=global_template,
-                gamma_g=1.0,
-                coverage=t,
-            )
-            sample = SequenceSample("g1", 1, rng.standard_normal((n, d)))
-            dp = infer_dp(model, sample)
-            assert dp == infer_brute(model, sample)
-            tied = Model(
-                templates=np.zeros((m, d)),
-                ordering_costs=np.zeros(factorial(m)),
-                global_template=global_template,
-                gamma_g=0.5,
-                coverage=t,
-            )
-            enumerated = infer_dp(tied, sample)
-            t_eff = effective_t(n, m, t)
-            assert dp == score_fixed(model, sample, enumerated.k, t_eff)
-            assert dp.perm_rank == enumerated.perm_rank == 1
-
 
 class TestRuntimeShape:
     def test_greedy_runtime_roughly_linear_in_sequence_length(self, rng):

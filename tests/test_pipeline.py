@@ -336,11 +336,6 @@ class TestPersistence:
                 load_model(path)
             assert time.perf_counter() - tick < 1.0, path.name
 
-    def test_has_global_byte_must_be_zero_or_one(self, tmp_path):
-        path = next(p for p in write_bad_model_headers(tmp_path) if p.stem == "has_global_2")
-        with pytest.raises(DataError, match="has_global"):
-            load_model(path)
-
     @given(cut=st.integers(0, len(VALID_CONTAINER) - 1))
     @settings(max_examples=100, deadline=None)
     def test_truncated_containers_raise_data_error(self, tmp_path_factory, cut):
