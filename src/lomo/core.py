@@ -64,6 +64,16 @@ class SequenceSample:
         object.__setattr__(self, "label", int(self.label))
         object.__setattr__(self, "_pooled", {})  # pooling mode -> vector, filled by pool
 
+    def relabel(self, label: int, group: Optional[str]) -> "SequenceSample":
+        """The same sequence under another label and group.
+
+        Shares this sample's read-only frames and pooled-vector cache, which
+        depend on the frames alone, instead of copying and re-checking them.
+        """
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__, label=int(label), group=group)
+        return twin
+
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]

@@ -36,22 +36,29 @@ def _token_error(path, lineno, message):
 
 
 def read_lseq(path) -> List[SequenceSample]:
-    """Parse every sequence in an LSEQ file; errors carry line numbers."""
+    """Parse every sequence in an LSEQ file; errors carry line numbers.
+
+    A header's counts are checked against the text that follows before any
+    frame matrix is allocated, so a malformed file fails with ``DataError``
+    however large the N or d it declares.
+    """
     samples: List[SequenceSample] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    body = []  # (line number, text) of every line that is neither blank nor a comment
+    n_lines = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for n_lines, line in enumerate(fh, 1):
+                stripped = line.strip()
+                if stripped and not stripped.startswith("#"):
+                    body.append((n_lines, stripped))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}")
 
-    def content(idx):
-        # skip blanks and comments, return (lineno, tokens) or None at EOF
-        while idx < len(lines):
-            stripped = lines[idx].strip()
-            idx += 1
-            if stripped and not stripped.startswith("#"):
-                return idx, stripped.split()
-        return idx, None
-
-    idx, tokens = content(0)
-    if tokens is None or len(tokens) != 3 or tokens[0] != "lseq":
+    if not body:
+        raise _token_error(path, n_lines, "expected header 'lseq 1 <d>'")
+    idx, text = body[0]
+    tokens = text.split()
+    if len(tokens) != 3 or tokens[0] != "lseq":
         raise _token_error(path, idx, "expected header 'lseq 1 <d>'")
     if tokens[1] != str(LSEQ_VERSION):
         raise _token_error(path, idx, f"unsupported format version {tokens[1]!r}")
@@ -62,10 +69,11 @@ def read_lseq(path) -> List[SequenceSample]:
     if dim < 1:
         raise _token_error(path, idx, f"dimension must be >= 1, got {dim}")
 
-    while True:
-        idx, tokens = content(idx)
-        if tokens is None:
-            break
+    pos = 1
+    while pos < len(body):
+        idx, text = body[pos]
+        pos += 1
+        tokens = text.split()
         if tokens[0] != "seq" or len(tokens) != 5:
             raise _token_error(path, idx, "expected 'seq <id> <label> <group> <N>'")
         _, sid, label_s, group_s, n_s = tokens
@@ -76,12 +84,22 @@ def read_lseq(path) -> List[SequenceSample]:
             raise _token_error(path, idx, f"bad label or length in {tokens!r}")
         if n < 1:
             raise _token_error(path, idx, f"sequence length must be >= 1, got {n}")
+        if n > len(body) - pos:
+            raise _token_error(
+                path, idx,
+                f"unexpected end of file: sequence {sid!r} declares {n} frames, "
+                f"{len(body) - pos} data lines follow",
+            )
         group = None if group_s == "-" else group_s
-        frames = np.empty((n, dim))
+        # A row of d values spans at least 2d - 1 characters, so no more rows
+        # are allocated than the sequence's n lines can fill; a sequence that
+        # declares more fails on a short row below before it gets there.
+        chars = sum(len(body[i][1]) for i in range(pos, pos + n))
+        frames = np.empty((min(n, chars // (2 * dim - 1)), dim))
         for row in range(n):
-            idx, tokens = content(idx)
-            if tokens is None:
-                raise _token_error(path, idx, f"unexpected end of file inside sequence {sid!r}")
+            idx, text = body[pos]
+            pos += 1
+            tokens = text.split()
             if len(tokens) != dim:
                 raise _token_error(
                     path, idx, f"expected {dim} values, got {len(tokens)} (sequence {sid!r})"
@@ -158,25 +176,39 @@ def load_manifest(path) -> Manifest:
             payload = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"manifest {path} does not exist")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed JSON or not UTF-8
         raise DataError(f"manifest {path} is not valid JSON: {exc}")
+    if not isinstance(payload, dict):
+        raise DataError(f"manifest {path} must hold a JSON object")
     for key in ("version", "dim", "entries"):
         if key not in payload:
             raise DataError(f"manifest {path} misses required key {key!r}")
+    if not isinstance(payload["entries"], list):
+        raise DataError(f"manifest {path}: 'entries' must be a list")
+    try:
+        version = int(payload["version"])
+        dim = int(payload["dim"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"manifest {path} has a malformed version or dim: {exc}")
     entries = []
     for i, raw in enumerate(payload["entries"]):
         try:
+            if not isinstance(raw, dict):
+                raise TypeError("entry is not an object")
+            group = raw.get("group")
+            if not isinstance(raw["path"], str) or not isinstance(group, (str, type(None))):
+                raise TypeError("path must be a string and group a string or null")
             entries.append(
                 ManifestEntry(
                     path=raw["path"],
                     label=int(raw["label"]),
-                    group=raw.get("group"),
+                    group=group,
                     fold=None if raw.get("fold") is None else int(raw["fold"]),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"manifest {path} entry {i} is malformed: {exc}")
-    return Manifest(version=int(payload["version"]), dim=int(payload["dim"]), entries=entries)
+    return Manifest(version=version, dim=dim, entries=entries)
 
 
 def load_dataset(manifest_path) -> Tuple[List[SequenceSample], Dict[str, Optional[int]]]:
@@ -202,7 +234,7 @@ def load_dataset(manifest_path) -> Tuple[List[SequenceSample], Dict[str, Optiona
             raise DataError(
                 f"{full}: dimension {raw.dim} does not match manifest dimension {manifest.dim}"
             )
-        sample = SequenceSample(raw.id, entry.label, raw.frames, entry.group)
+        sample = raw.relabel(entry.label, entry.group)
         if sample.id in folds:
             raise DataError(f"duplicate sequence id {sample.id!r} across manifest entries")
         samples.append(sample)

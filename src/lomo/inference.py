@@ -6,9 +6,11 @@ pairwise distance >= t_eff + 1:
 * ``infer_greedy`` picks the best frame per template in index order and
   suppresses a window of ``t_eff`` frames on either side of each pick. Fast
   and approximate; this is the solver used inside training by default.
-* ``infer_dp`` is exact: for each of the M! temporal orderings it solves the
-  position assignment by dynamic programming with a running maximum, then
-  takes the best ordering including its cost-table entry.
+* ``infer_dp`` is exact: it solves the position assignment of each of the
+  M! temporal orderings by a suffix recurrence with a running maximum,
+  computing each stage once for all orderings that share the suffix of
+  slots it covers, then takes the best ordering including its cost-table
+  entry.
 * ``infer_brute`` enumerates every feasible placement. It exists as a
   testing oracle and is guarded against large instances.
 
@@ -20,11 +22,12 @@ and documented per solver, making every result deterministic.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
 
-from .core import LatentAssignment, Model, SequenceSample, score_fixed
+from .core import MAX_EVENTS, LatentAssignment, Model, SequenceSample, score_fixed
 from .errors import DataError, InfeasibleError
 
 BRUTE_FORCE_GUARD = 10**7
@@ -46,6 +49,20 @@ def effective_t(n_frames: int, n_events: int, t: int) -> int:
     if (n_events - 1) * (t1 + 1) + 1 > n_frames:
         return (n_frames - n_events) // (n_events - 1)
     return t1
+
+
+@lru_cache(maxsize=MAX_EVENTS)
+def _orderings(m: int):
+    """The M! temporal orderings of M templates, enumerated once per M.
+
+    Returns ``(slot_orders, rank_of)``: ``slot_orders[rank0][j]`` is the
+    template in temporal slot j under the ordering of 0-based permutation
+    rank ``rank0``, and ``rank_of`` maps a slot order back to that rank.
+    """
+    slot_orders = tuple(
+        tuple(sorted(range(m), key=pattern.__getitem__)) for pattern in permutations(range(m))
+    )
+    return slot_orders, {order: rank0 for rank0, order in enumerate(slot_orders)}
 
 
 def _responses(model: Model, sample: SequenceSample) -> np.ndarray:
@@ -83,46 +100,30 @@ def infer_greedy(model: Model, sample: SequenceSample) -> LatentAssignment:
     return score_fixed(model, sample, k, t_eff=t_eff)
 
 
-def _ordering_value_and_positions(resp_rows, n: int, gap: int):
-    """Exact max of sum(resp_rows[j][p_j]) over p_1 < ... < p_M with
-    consecutive distance >= gap, plus the lexicographically smallest
-    maximizing positions.
-
-    Suffix recurrence with a running maximum: stage[p] is the best total of
-    the remaining slots when the current slot sits at frame p. O(N) per slot.
-    """
-    m = len(resp_rows)
-    stages = [None] * m
-    stages[m - 1] = resp_rows[m - 1]
-    for j in range(m - 2, -1, -1):
-        nxt = stages[j + 1]
-        row = resp_rows[j]
-        out = [0.0] * n
-        run = -np.inf
-        for p in range(n - 1, -1, -1):
-            q = p + gap
-            if q < n and nxt[q] > run:
-                run = nxt[q]
-            out[p] = row[p] + run
-        stages[j] = out
-    best = max(stages[0])
-    positions = [stages[0].index(best)]
-    for j in range(1, m):
-        lo = positions[-1] + gap
-        seg = stages[j][lo:]
-        target = max(seg)
-        positions.append(lo + seg.index(target))
-    return best, positions
+def _stage(row, nxt, n: int, gap: int):
+    """One step of the suffix recurrence: ``row[p]`` plus the best total of
+    the later slots, ``max(nxt[p + gap:])`` kept as a running maximum, or
+    -inf where no later frame fits. O(N)."""
+    out = [0.0] * n
+    run = -np.inf
+    for p in range(n - 1, -1, -1):
+        q = p + gap
+        if q < n and nxt[q] > run:
+            run = nxt[q]
+        out[p] = row[p] + run
+    return out
 
 
 def infer_dp(model: Model, sample: SequenceSample) -> LatentAssignment:
     """Exact solver.
 
-    Enumerates the M! temporal orderings; within each, the best positions
-    are found by the suffix recurrence above, and the ordering's cost-table
-    entry is added. Ties across orderings go to the smallest permutation
-    rank, ties across positions to the lexicographically smallest position
-    vector.
+    Walks the M! temporal orderings depth first, filling slots from the last
+    one backwards, so orderings that share the templates of slots j..M-1
+    share the suffix stages of those slots and each stage is computed once.
+    An ordering's value is the best total of its stage 0 plus its cost-table
+    entry. Ties across orderings go to the smallest permutation rank, ties
+    across positions to the lexicographically smallest position vector,
+    which is backtracked for the winning ordering only.
     """
     t_eff = effective_t(sample.n_frames, model.n_events, model.coverage)
     resp = _responses(model, sample)
@@ -135,23 +136,37 @@ def infer_dp(model: Model, sample: SequenceSample) -> LatentAssignment:
     scaled = (local_weight / m) * resp
     rows = [scaled[i].tolist() for i in range(m)]
     costs = model.ordering_costs
+    slot_orders, rank_of = _orderings(m)
+    order = [0] * m  # order[j]: template in slot j on the current path
+    stages = [None] * m  # stages[j]: suffix stage of slot j on the current path
     best_value = -np.inf
-    best_k = None
-    for rank0, pattern in enumerate(permutations(range(1, m + 1))):
-        # pattern[i] is the temporal slot (1-based) of template i; slot j
-        # therefore holds template slot_templates[j].
-        slot_templates = sorted(range(m), key=lambda i: pattern[i])
-        value, positions = _ordering_value_and_positions(
-            [rows[i] for i in slot_templates], n, gap
-        )
-        value += local_weight * float(costs[rank0])
-        if value > best_value:
+    best_rank0 = 0
+    best_stages = None
+    # (slot, template) trie nodes still to visit; a node's stage is computed
+    # from its parent's, which is on the current path when the node is popped
+    pending = [(m - 1, tpl) for tpl in range(m - 1, -1, -1)]
+    while pending:
+        j, tpl = pending.pop()
+        order[j] = tpl
+        stages[j] = rows[tpl] if j == m - 1 else _stage(rows[tpl], stages[j + 1], n, gap)
+        if j:
+            used = order[j:]
+            pending.extend((j - 1, t) for t in range(m - 1, -1, -1) if t not in used)
+            continue
+        rank0 = rank_of[tuple(order)]
+        value = max(stages[0]) + local_weight * float(costs[rank0])
+        if value > best_value or (value == best_value and rank0 < best_rank0):
             best_value = value
-            k = [0] * m
-            for j, tpl in enumerate(slot_templates):
-                k[tpl] = positions[j]
-            best_k = k
-    return score_fixed(model, sample, best_k, t_eff=t_eff)
+            best_rank0 = rank0
+            best_stages = stages[:]
+    slot_templates = slot_orders[best_rank0]
+    k = [0] * m
+    pos = -gap
+    for j in range(m):
+        seg = best_stages[j][pos + gap:]
+        pos += gap + seg.index(max(seg))
+        k[slot_templates[j]] = pos
+    return score_fixed(model, sample, k, t_eff=t_eff)
 
 
 def infer_brute(model: Model, sample: SequenceSample) -> LatentAssignment:
@@ -178,8 +193,7 @@ def infer_brute(model: Model, sample: SequenceSample) -> LatentAssignment:
     costs = model.ordering_costs
     best_value = -np.inf
     best_k = None
-    for rank0, pattern in enumerate(permutations(range(1, m + 1))):
-        slot_templates = sorted(range(m), key=lambda i: pattern[i])
+    for rank0, slot_templates in enumerate(_orderings(m)[0]):
         values = scaled[slot_templates[0]][combos[:, 0]].copy()
         for j in range(1, m):
             values += scaled[slot_templates[j]][combos[:, j]]

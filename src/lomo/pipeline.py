@@ -102,10 +102,7 @@ def one_vs_rest(
     """
     if not any(s.label == positive_class for s in samples):
         raise DataError(f"no sample has the positive class {positive_class}")
-    return [
-        SequenceSample(s.id, 1 if s.label == positive_class else -1, s.frames, s.group)
-        for s in samples
-    ]
+    return [s.relabel(1 if s.label == positive_class else -1, s.group) for s in samples]
 
 
 def train_spec(

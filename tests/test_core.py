@@ -112,6 +112,21 @@ class TestPool:
         assert np.array_equal(peak, sample.frames.max(axis=0))
 
 
+class TestRelabel:
+    def test_shares_frames_and_pooled_vectors(self, rng):
+        sample = SequenceSample("s", 1, rng.standard_normal((8, 3)), group="g")
+        mean = pool(sample, "mean")
+        twin = sample.relabel(np.int64(-1), None)
+        assert (twin.id, twin.label, twin.group) == ("s", -1, None)
+        assert type(twin.label) is int
+        assert (sample.label, sample.group) == (1, "g")
+        assert np.shares_memory(twin.frames, sample.frames)
+        assert not twin.frames.flags.writeable
+        assert pool(twin, "mean") is mean
+        peak = pool(twin, "max")
+        assert pool(sample, "max") is peak
+
+
 class TestScoreFixed:
     def test_single_template_dot_product(self):
         model = Model(templates=[[1.0, 0.0]], ordering_costs=[0.0])

@@ -1,6 +1,11 @@
+import json
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lomo.data
 from lomo import (
     DataError,
     InfeasibleError,
@@ -14,6 +19,57 @@ from lomo import (
     read_lseq,
     save_manifest,
     write_lseq,
+)
+
+
+def _patched(blob, edits):
+    data = bytearray(blob)
+    for at, value in edits:
+        data[at] = value
+    return bytes(data)
+
+
+VALID_LSEQ = (
+    b"lseq 1 3\n# comment\nseq a 1 g1 2\n0.5 -1.0 2.0\n\n1e-7 3.0 -0.25\n"
+    b"seq b -1 - 1\n1.0 2.0 3.0\n"
+)
+_small_or_huge = st.one_of(st.integers(-2, 4), st.integers(0, 10**15))
+FUZZED_LSEQ = st.one_of(
+    st.binary(max_size=200),
+    st.integers(0, len(VALID_LSEQ) - 1).map(lambda cut: VALID_LSEQ[:cut]),
+    st.lists(st.tuples(st.integers(0, len(VALID_LSEQ) - 1), st.integers(0, 255)), max_size=4)
+    .map(lambda edits: _patched(VALID_LSEQ, edits)),
+    st.builds(
+        lambda d, n, rows: f"lseq 1 {d}\nseq a 1 - {n}\n{rows}".encode(),
+        _small_or_huge, _small_or_huge,
+        st.text(alphabet="0123456789 .-e\n#", max_size=60),
+    ),
+)
+
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=6), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+_manifest_entries = st.one_of(
+    _json_values,
+    st.fixed_dictionaries(
+        {"path": _json_values, "label": _json_values},
+        optional={"group": _json_values, "fold": _json_values},
+    ),
+)
+FUZZED_MANIFESTS = st.one_of(
+    _json_values.map(json.dumps),
+    st.fixed_dictionaries(
+        {"version": _json_values, "dim": _json_values,
+         "entries": st.one_of(_json_values, st.lists(_manifest_entries, max_size=3))},
+    ).map(json.dumps),
+    st.binary(max_size=120),
 )
 
 
@@ -93,6 +149,44 @@ class TestLseqErrors:
         with pytest.raises(DataError, match="end of file"):
             read_lseq(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "lseq 1 2\nseq a 1 - 99999999999999\n1 2\n",
+            "lseq 1 99999999999999\nseq a 1 - 1\n1 2\n",
+            # one row as long as the header claims, then short lines: the
+            # line count alone would admit a 50000 x 50000 matrix
+            "lseq 1 50000\nseq a 1 - 50000\n" + "0 " * 50000 + "\n" + "0\n" * 49999,
+        ],
+        ids=["huge-n", "huge-d", "short-rows"],
+    )
+    def test_huge_header_counts_raise_data_error(self, tmp_path, text):
+        path = tmp_path / "huge.lseq"
+        path.write_text(text)
+        tick = time.perf_counter()
+        with pytest.raises(DataError):
+            read_lseq(path)
+        assert time.perf_counter() - tick < 1.0
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "b.lseq"
+        path.write_bytes(b"lseq 1 1\nseq \xff 1 - 1\n1\n")
+        with pytest.raises(DataError, match="UTF-8"):
+            read_lseq(path)
+
+    @given(blob=FUZZED_LSEQ)
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_files_fail_cleanly_or_parse(self, tmp_path_factory, blob):
+        path = tmp_path_factory.mktemp("lseq") / "f.lseq"
+        path.write_bytes(blob)
+        tick = time.perf_counter()
+        try:
+            samples = read_lseq(path)
+        except DataError:
+            samples = []
+        assert time.perf_counter() - tick < 1.0
+        assert all(isinstance(s, SequenceSample) for s in samples)
+
     def test_write_rejects_whitespace_id(self, tmp_path, rng):
         bad = SequenceSample("has space", 1, rng.standard_normal((2, 2)))
         with pytest.raises(DataError, match="whitespace"):
@@ -148,6 +242,61 @@ class TestManifest:
         )
         with pytest.raises(DataError, match="single-sequence"):
             load_dataset(tmp_path / "m.json")
+
+    def test_loaded_samples_share_the_parsed_frames(self, tmp_path, rng, monkeypatch):
+        path = self._write_dataset(tmp_path, rng, [1, -1])
+        parsed = []
+
+        def recording_read_lseq(file):
+            loaded = read_lseq(file)
+            parsed.extend(loaded)
+            return loaded
+
+        monkeypatch.setattr(lomo.data, "read_lseq", recording_read_lseq)
+        samples, _ = load_dataset(path)
+        assert [s.label for s in samples] == [1, -1]
+        for raw, sample in zip(parsed, samples):
+            assert np.shares_memory(raw.frames, sample.frames)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            5,
+            {"version": 1, "dim": 2, "entries": 5},
+            {"version": "x", "dim": 2, "entries": []},
+            {"version": 1, "dim": float("inf"), "entries": []},
+            {"version": 1, "dim": 2, "entries": [{"path": ["a"], "label": 1}]},
+            {"version": 1, "dim": 2, "entries": [{"path": "a", "label": 1, "group": 3}]},
+        ],
+        ids=["top-level-number", "entries-number", "version-text", "dim-infinite",
+             "path-list", "group-number"],
+    )
+    def test_malformed_fields_raise_data_error(self, tmp_path, payload):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="manifest"):
+            load_manifest(path)
+
+    @given(text=FUZZED_MANIFESTS)
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_manifests_fail_cleanly_or_load(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("manifest") / "m.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        tick = time.perf_counter()
+        try:
+            manifest = load_manifest(path)
+        except DataError:
+            manifest = None
+        assert time.perf_counter() - tick < 1.0
+        if manifest is not None:
+            assert all(
+                isinstance(e.path, str) and isinstance(e.label, int)
+                and (e.group is None or isinstance(e.group, str))
+                for e in manifest.entries
+            )
 
 
 class TestSynthConfigValidation:

@@ -1,3 +1,4 @@
+import gc
 from itertools import permutations
 from math import factorial
 
@@ -12,8 +13,10 @@ from lomo import (
     infer_brute,
     infer_dp,
     infer_greedy,
+    perm_rank,
     score_fixed,
 )
+from lomo import inference
 from conftest import random_instance
 
 
@@ -28,6 +31,61 @@ def response_model(response_rows, coverage=0):
 def response_sample(response_rows):
     rows = np.asarray(response_rows, dtype=float)
     return SequenceSample("resp", 1, rows.T)  # frame f carries column f
+
+
+def reference_dp(model, sample):
+    """The exact solver as a plain per-ordering loop: every ordering gets all
+    of its suffix stages computed and its positions backtracked, and the
+    first strictly better ordering in rank order wins."""
+    t_eff = effective_t(sample.n_frames, model.n_events, model.coverage)
+    m, n = model.n_events, sample.n_frames
+    gap = t_eff + 1
+    local_weight = 1.0 - model.gamma_g
+    scaled = (local_weight / m) * (model.templates @ sample.frames.T)
+    rows = [scaled[i].tolist() for i in range(m)]
+    best_value, best_k = -np.inf, None
+    for rank0, pattern in enumerate(permutations(range(1, m + 1))):
+        slot_templates = sorted(range(m), key=lambda i: pattern[i])
+        stages = [None] * m
+        stages[m - 1] = rows[slot_templates[m - 1]]
+        for j in range(m - 2, -1, -1):
+            nxt, row = stages[j + 1], rows[slot_templates[j]]
+            out, run = [0.0] * n, -np.inf
+            for p in range(n - 1, -1, -1):
+                q = p + gap
+                if q < n and nxt[q] > run:
+                    run = nxt[q]
+                out[p] = row[p] + run
+            stages[j] = out
+        best = max(stages[0])
+        positions = [stages[0].index(best)]
+        for j in range(1, m):
+            lo = positions[-1] + gap
+            seg = stages[j][lo:]
+            positions.append(lo + seg.index(max(seg)))
+        value = best + local_weight * float(model.ordering_costs[rank0])
+        if value > best_value:
+            best_value = value
+            best_k = [0] * m
+            for j, tpl in enumerate(slot_templates):
+                best_k[tpl] = positions[j]
+    return score_fixed(model, sample, best_k, t_eff=t_eff)
+
+
+def tie_prone_instance(rng, m, n, gamma_g):
+    """Small integer templates, frames and costs, so equal totals across
+    orderings and positions are common."""
+    d = int(rng.integers(1, 4))
+    return (
+        Model(
+            templates=rng.integers(-1, 2, (m, d)),
+            ordering_costs=rng.integers(-1, 2, factorial(m)),
+            global_template=rng.integers(-1, 2, d) if gamma_g else None,
+            gamma_g=gamma_g,
+            coverage=int(rng.integers(0, 3)),
+        ),
+        SequenceSample("tie", 1, rng.integers(-1, 2, (n, d))),
+    )
 
 
 class TestEffectiveT:
@@ -179,6 +237,76 @@ class TestExactSolvers:
             a = solver(model, sample)
             assert a.perm_rank == 1
             assert a.k == (0, t + 1)
+
+
+class TestSharedSuffixDp:
+    def test_matches_the_per_ordering_solver(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(2100):
+            m = 6 if trial % 30 == 0 else 1 + trial % 5  # an M=6 case costs ~7x an M=5 one
+            n = int(rng.integers(m, m + 5))
+            gamma_g = float(rng.choice([0.0, 0.3, 1.0]))
+            if rng.random() < 0.5:
+                model, sample = tie_prone_instance(rng, m, n, gamma_g)
+            else:
+                model, sample = random_instance(rng, n_max=n, n_min=n, m_choices=(m,))
+                if gamma_g:
+                    model = Model(
+                        templates=model.templates, ordering_costs=model.ordering_costs,
+                        global_template=rng.standard_normal(model.dim), gamma_g=gamma_g,
+                        coverage=model.coverage,
+                    )
+            got, want = infer_dp(model, sample), reference_dp(model, sample)
+            assert (got.k, got.perm_rank, repr(got.total)) == (
+                want.k, want.perm_rank, repr(want.total)
+            ), trial
+
+    def test_matches_brute_at_seven_events(self):
+        rng = np.random.default_rng(77)
+        for _ in range(4):
+            model, sample = random_instance(rng, n_max=9, n_min=7, m_choices=(7,), t_max=0)
+            dp, brute = infer_dp(model, sample), infer_brute(model, sample)
+            assert (dp.k, dp.perm_rank) == (brute.k, brute.perm_rank)
+            assert abs(dp.total - brute.total) <= 1e-9
+
+    @pytest.mark.parametrize("m,stages", [(1, 0), (2, 2), (3, 12), (4, 60), (5, 320), (6, 1950)])
+    def test_each_distinct_suffix_stage_is_computed_once(self, monkeypatch, m, stages):
+        calls = []
+        real_stage = inference._stage
+
+        def counting_stage(*args):
+            calls.append(1)
+            return real_stage(*args)
+
+        monkeypatch.setattr(inference, "_stage", counting_stage)
+        model, sample = random_instance(
+            np.random.default_rng(m), n_max=m + 4, n_min=m + 4, m_choices=(m,)
+        )
+        infer_dp(model, sample)
+        assert len(calls) == stages
+
+    def test_leaves_no_cyclic_garbage(self):
+        model, sample = random_instance(
+            np.random.default_rng(5), n_max=12, n_min=12, m_choices=(5,)
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            infer_dp(model, sample)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_ordering_table_matches_perm_rank(self):
+        for m in range(1, 6):
+            slot_orders, rank_of = inference._orderings(m)
+            assert len(slot_orders) == factorial(m)
+            for rank0, order in enumerate(slot_orders):
+                k = [0] * m
+                for slot, tpl in enumerate(order):
+                    k[tpl] = slot
+                assert perm_rank(k) == rank0 + 1
+                assert rank_of[order] == rank0
 
 
 class TestRuntimeShape:

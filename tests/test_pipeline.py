@@ -13,6 +13,7 @@ from lomo import (
     decide,
     late_fusion,
     load_model,
+    pool,
     predict,
     predict_table,
     save_model,
@@ -127,6 +128,13 @@ class TestBinaryAndMulticlass:
         assert [s.label for s in one_vs_rest(data, 2)] == [-1, -1, 1, -1, -1, 1]
         with pytest.raises(DataError, match="positive class 9"):
             one_vs_rest(data, 9)
+
+    def test_one_vs_rest_shares_frames_and_pooled_vectors(self, rng):
+        data = [make_sample(rng.standard_normal((5, 4)), i % 3, f"x{i}") for i in range(6)]
+        pooled = [pool(s) for s in data]
+        for s, b, p in zip(data, one_vs_rest(data, 1), pooled):
+            assert np.shares_memory(s.frames, b.frames)
+            assert pool(b) is p
 
 
 class TestPredict:
