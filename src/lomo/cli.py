@@ -57,6 +57,11 @@ from .pipeline import (
 from . import training
 from .training import TrainConfig
 
+# infer-bench times each solver on the first TIME_INSTANCES instances of a
+# cell and reports the fastest of TIME_REPEATS passes
+TIME_INSTANCES = 10
+TIME_REPEATS = 3
+
 
 class _Parser(argparse.ArgumentParser):
     # usage problems exit 1, not argparse's default 2
@@ -331,7 +336,7 @@ def cmd_infer_bench(args, argv) -> int:
                         f"bench{len(instances)}", 1, rng.standard_normal((n, args.dim))
                     )
                     instances.append((model, sample))
-                timed = instances[: min(args.time_instances, len(instances))]
+                timed = instances[:TIME_INSTANCES]
                 totals = {}
                 times = {}
                 for solver in solvers:
@@ -349,7 +354,7 @@ def cmd_infer_bench(args, argv) -> int:
                     for model, sample in timed:
                         fn(model, sample)
                     per_pass = []
-                    for _ in range(args.time_repeats):
+                    for _ in range(TIME_REPEATS):
                         tick = time.perf_counter()
                         for model, sample in timed:
                             fn(model, sample)
@@ -449,10 +454,6 @@ def build_parser() -> _Parser:
     p.add_argument("--t", default="5", help="comma list of coverage radii")
     p.add_argument("--dim", type=int, default=1000)
     p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--time-instances", type=int, default=10,
-                   help="subset of instances used for the timing passes")
-    p.add_argument("--time-repeats", type=int, default=3,
-                   help="timed passes per solver; the fastest is reported")
     p.add_argument("--solvers", default="greedy,dp,brute")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)

@@ -38,25 +38,27 @@ def _token_error(path, lineno, message):
 def read_lseq(path) -> List[SequenceSample]:
     """Parse every sequence in an LSEQ file; errors carry line numbers.
 
-    A header's counts are checked against the text that follows before any
-    frame matrix is allocated, so a malformed file fails with ``DataError``
-    however large the N or d it declares.
+    One pass over the file parses each row as it arrives, so memory follows
+    the text present and nothing is sized from the N or d a header declares.
     """
-    samples: List[SequenceSample] = []
-    body = []  # (line number, text) of every line that is neither blank nor a comment
-    n_lines = 0
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for n_lines, line in enumerate(fh, 1):
-                stripped = line.strip()
-                if stripped and not stripped.startswith("#"):
-                    body.append((n_lines, stripped))
+            return _parse_lseq(path, _content_lines(fh))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}")
 
-    if not body:
-        raise _token_error(path, n_lines, "expected header 'lseq 1 <d>'")
-    idx, text = body[0]
+
+def _content_lines(fh):
+    """Yield (line number, stripped text) of each line that is neither blank
+    nor a comment."""
+    for lineno, line in enumerate(fh, 1):
+        text = line.strip()
+        if text and not text.startswith("#"):
+            yield lineno, text
+
+
+def _parse_lseq(path, lines) -> List[SequenceSample]:
+    idx, text = next(lines, (0, ""))
     tokens = text.split()
     if len(tokens) != 3 or tokens[0] != "lseq":
         raise _token_error(path, idx, "expected header 'lseq 1 <d>'")
@@ -69,49 +71,41 @@ def read_lseq(path) -> List[SequenceSample]:
     if dim < 1:
         raise _token_error(path, idx, f"dimension must be >= 1, got {dim}")
 
-    pos = 1
-    while pos < len(body):
-        idx, text = body[pos]
-        pos += 1
+    samples: List[SequenceSample] = []
+    for seq_idx, text in lines:
         tokens = text.split()
         if tokens[0] != "seq" or len(tokens) != 5:
-            raise _token_error(path, idx, "expected 'seq <id> <label> <group> <N>'")
+            raise _token_error(path, seq_idx, "expected 'seq <id> <label> <group> <N>'")
         _, sid, label_s, group_s, n_s = tokens
         try:
             label = int(label_s)
             n = int(n_s)
         except ValueError:
-            raise _token_error(path, idx, f"bad label or length in {tokens!r}")
+            raise _token_error(path, seq_idx, f"bad label or length in {tokens!r}")
         if n < 1:
-            raise _token_error(path, idx, f"sequence length must be >= 1, got {n}")
-        if n > len(body) - pos:
-            raise _token_error(
-                path, idx,
-                f"unexpected end of file: sequence {sid!r} declares {n} frames, "
-                f"{len(body) - pos} data lines follow",
-            )
-        group = None if group_s == "-" else group_s
-        # A row of d values spans at least 2d - 1 characters, so no more rows
-        # are allocated than the sequence's n lines can fill; a sequence that
-        # declares more fails on a short row below before it gets there.
-        chars = sum(len(body[i][1]) for i in range(pos, pos + n))
-        frames = np.empty((min(n, chars // (2 * dim - 1)), dim))
-        for row in range(n):
-            idx, text = body[pos]
-            pos += 1
+            raise _token_error(path, seq_idx, f"sequence length must be >= 1, got {n}")
+        rows = []
+        for _, (idx, text) in zip(range(n), lines):  # range first: no line read past N
             tokens = text.split()
             if len(tokens) != dim:
                 raise _token_error(
                     path, idx, f"expected {dim} values, got {len(tokens)} (sequence {sid!r})"
                 )
             try:
-                values = [float(t) for t in tokens]
+                row = np.array([float(t) for t in tokens])
             except ValueError:
                 raise _token_error(path, idx, f"unparseable number in {tokens!r}")
-            if not all(np.isfinite(values)):
+            if not np.isfinite(row).all():
                 raise _token_error(path, idx, "non-finite value")
-            frames[row] = values
-        samples.append(SequenceSample(id=sid, label=label, frames=frames, group=group))
+            rows.append(row)
+        if len(rows) < n:
+            raise _token_error(
+                path, seq_idx,
+                f"unexpected end of file: sequence {sid!r} declares {n} frames, "
+                f"the file ended after {len(rows)}",
+            )
+        group = None if group_s == "-" else group_s
+        samples.append(SequenceSample(id=sid, label=label, frames=rows, group=group))
     return samples
 
 
@@ -170,6 +164,12 @@ def save_manifest(path, manifest: Manifest) -> None:
         fh.write("\n")
 
 
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def load_manifest(path) -> Manifest:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -186,9 +186,9 @@ def load_manifest(path) -> Manifest:
     if not isinstance(payload["entries"], list):
         raise DataError(f"manifest {path}: 'entries' must be a list")
     try:
-        version = int(payload["version"])
-        dim = int(payload["dim"])
-    except (TypeError, ValueError, OverflowError) as exc:
+        version = _json_int(payload["version"], "version")
+        dim = _json_int(payload["dim"], "dim")
+    except TypeError as exc:
         raise DataError(f"manifest {path} has a malformed version or dim: {exc}")
     entries = []
     for i, raw in enumerate(payload["entries"]):
@@ -201,12 +201,12 @@ def load_manifest(path) -> Manifest:
             entries.append(
                 ManifestEntry(
                     path=raw["path"],
-                    label=int(raw["label"]),
+                    label=_json_int(raw["label"], "label"),
                     group=group,
-                    fold=None if raw.get("fold") is None else int(raw["fold"]),
+                    fold=None if raw.get("fold") is None else _json_int(raw["fold"], "fold"),
                 )
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise DataError(f"manifest {path} entry {i} is malformed: {exc}")
     return Manifest(version=version, dim=dim, entries=entries)
 

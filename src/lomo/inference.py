@@ -5,7 +5,8 @@ pairwise distance >= t_eff + 1:
 
 * ``infer_greedy`` picks the best frame per template in index order and
   suppresses a window of ``t_eff`` frames on either side of each pick. Fast
-  and approximate; this is the solver used inside training by default.
+  and approximate; this is the solver used inside training by default. If
+  the windows use up the sequence first, it returns ``infer_dp``'s result.
 * ``infer_dp`` is exact: it solves the position assignment of each of the
   M! temporal orderings by a suffix recurrence with a running maximum,
   computing each stage once for all orderings that share the suffix of
@@ -79,22 +80,17 @@ def infer_greedy(model: Model, sample: SequenceSample) -> LatentAssignment:
     Templates are processed in fixed index order. Each takes the remaining
     frame with the highest response (ties toward the smallest index), then
     frames within ``t_eff`` on either side are removed from the candidate
-    set. Raises if the candidates run out before all templates are placed,
-    which can happen when the suppression windows tile the whole sequence.
+    set. When the suppression windows cover the whole sequence before all
+    templates are placed, the sample is solved by ``infer_dp`` instead.
     """
     t_eff = effective_t(sample.n_frames, model.n_events, model.coverage)
     resp = _responses(model, sample)
-    n = sample.n_frames
-    alive = np.ones(n, dtype=bool)
+    alive = np.ones(sample.n_frames, dtype=bool)
     k = []
-    for i in range(model.n_events):
+    for row in resp:
         if not alive.any():
-            raise InfeasibleError(
-                f"greedy candidate set exhausted after {i} of {model.n_events} picks "
-                f"(N={n}, t_eff={t_eff})"
-            )
-        masked = np.where(alive, resp[i], -np.inf)
-        ki = int(np.argmax(masked))  # first occurrence: smallest index wins ties
+            return infer_dp(model, sample)
+        ki = int(np.argmax(np.where(alive, row, -np.inf)))  # smallest index wins ties
         k.append(ki)
         alive[max(0, ki - t_eff): ki + t_eff + 1] = False
     return score_fixed(model, sample, k, t_eff=t_eff)

@@ -120,8 +120,9 @@ def sgd_step(
     On a violation, templates shrink by (1 - lambda1 * eta) and absorb the
     chosen frames, the whole cost table shrinks by (1 - lambda2 * eta) and
     the entry of the realized pattern moves toward the label, and the global
-    template absorbs the pooled sequence. With ``ordinal_enabled=False`` the
-    cost table is left untouched.
+    template absorbs the pooled sequence. The local and global parts are
+    weighted by the model's ``gamma_g``, which also scores the sample. With
+    ``ordinal_enabled=False`` the cost table is left untouched.
     """
     y = sample.label
     if y not in BINARY_LABELS:
@@ -129,7 +130,7 @@ def sgd_step(
     assignment = SOLVERS[solver](model, sample)
     if y * assignment.total >= 1.0:
         return model
-    eta, gamma = config.eta, config.gamma_g
+    eta, gamma = config.eta, model.gamma_g
     m = model.n_events
     shrink = 1.0 - config.lambda1 * eta
     templates = model.templates * shrink

@@ -107,6 +107,27 @@ class TestTrain:
         assert rc == 3
         assert "shorter than number of events" in capsys.readouterr().err
 
+    def test_short_sequences_train_with_the_default_solver(self, tmp_path, rng):
+        from lomo import Manifest, ManifestEntry, SequenceSample, save_manifest, write_lseq
+
+        entries = []
+        for i in range(8):
+            sid, label = f"short{i}", 1 if i % 2 else -1
+            write_lseq(
+                tmp_path / f"{sid}.lseq",
+                [SequenceSample(sid, label, rng.standard_normal((7, 3)))],
+            )
+            entries.append(ManifestEntry(path=f"{sid}.lseq", label=label))
+        save_manifest(tmp_path / "short.json", Manifest(1, 3, entries))
+        # at N=7, M=3 the radius clamps to 2, and greedy's windows often
+        # cover all seven frames after two picks; those samples go to dp
+        out = tmp_path / "short.bin"
+        assert main([
+            "train", "--manifest", str(tmp_path / "short.json"), "--events", "3",
+            "--maxiter", "50", "--seed", "1", "--out", str(out),
+        ]) == 0
+        assert load_model(out).model.n_events == 3
+
     def test_positive_class_trains_on_relabelled_set(self, tmp_path, rng):
         from lomo import (
             ModelSpec, SequenceSample, TrainConfig, load_dataset, save_model, train_spec,

@@ -168,6 +168,12 @@ class TestLseqErrors:
             read_lseq(path)
         assert time.perf_counter() - tick < 1.0
 
+    def test_length_beyond_a_machine_word_raises_data_error(self, tmp_path):
+        path = tmp_path / "long.lseq"
+        path.write_text(f"lseq 1 2\nseq a 1 - {10**30}\n1 2\n")
+        with pytest.raises(DataError, match=r"long\.lseq:2: unexpected end of file"):
+            read_lseq(path)
+
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "b.lseq"
         path.write_bytes(b"lseq 1 1\nseq \xff 1 - 1\n1\n")
@@ -267,9 +273,16 @@ class TestManifest:
             {"version": 1, "dim": float("inf"), "entries": []},
             {"version": 1, "dim": 2, "entries": [{"path": ["a"], "label": 1}]},
             {"version": 1, "dim": 2, "entries": [{"path": "a", "label": 1, "group": 3}]},
+            {"version": 1, "dim": 2, "entries": [{"path": "a", "label": 1.7}]},
+            {"version": 1, "dim": 2, "entries": [{"path": "a", "label": True}]},
+            {"version": 1, "dim": 2, "entries": [{"path": "a", "label": 1, "fold": 2.9}]},
+            {"version": 1, "dim": 2, "entries": [{"path": "a", "label": 1, "fold": False}]},
+            {"version": 1.0, "dim": 2, "entries": []},
+            {"version": 1, "dim": True, "entries": []},
         ],
         ids=["top-level-number", "entries-number", "version-text", "dim-infinite",
-             "path-list", "group-number"],
+             "path-list", "group-number", "label-float", "label-bool", "fold-float",
+             "fold-bool", "version-float", "dim-bool"],
     )
     def test_malformed_fields_raise_data_error(self, tmp_path, payload):
         path = tmp_path / "m.json"

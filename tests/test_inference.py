@@ -72,6 +72,22 @@ def reference_dp(model, sample):
     return score_fixed(model, sample, best_k, t_eff=t_eff)
 
 
+def reference_greedy(model, sample):
+    """The greedy loop without its dp fallback: None where the suppression
+    windows cover the sequence before every template is placed."""
+    t_eff = effective_t(sample.n_frames, model.n_events, model.coverage)
+    resp = model.templates @ sample.frames.T
+    alive = np.ones(sample.n_frames, dtype=bool)
+    k = []
+    for i in range(model.n_events):
+        if not alive.any():
+            return None
+        ki = int(np.argmax(np.where(alive, resp[i], -np.inf)))
+        k.append(ki)
+        alive[max(0, ki - t_eff): ki + t_eff + 1] = False
+    return score_fixed(model, sample, k, t_eff=t_eff)
+
+
 def tie_prone_instance(rng, m, n, gamma_g):
     """Small integer templates, frames and costs, so equal totals across
     orderings and positions are common."""
@@ -140,16 +156,42 @@ class TestGreedy:
         a = infer_greedy(model, sample)
         assert a.k == (0, t + 1, 2 * (t + 1))
 
-    def test_candidate_exhaustion_raises(self):
-        # N=5, t_eff=1: picks at frames 1 and 3 suppress everything
+    def test_candidate_exhaustion_falls_back_to_dp(self):
+        # N=5, t_eff=1: picks at frames 1 and 3 suppress everything, so the
+        # sample is solved exactly; only frames 0, 2, 4 fit, all orders tie
         rows = [
             [0.0, 9.0, 0.0, 0.0, 0.0],
             [0.0, 0.0, 0.0, 9.0, 0.0],
             [1.0, 1.0, 1.0, 1.0, 1.0],
         ]
         model = response_model(rows, coverage=1)
-        with pytest.raises(InfeasibleError, match="exhausted"):
-            infer_greedy(model, response_sample(rows))
+        sample = response_sample(rows)
+        assert reference_greedy(model, sample) is None
+        a = infer_greedy(model, sample)
+        assert (a.k, a.perm_rank, a.total) == ((0, 2, 4), 1, 1.0 / 3)
+        exact = infer_dp(model, sample)
+        assert (a.k, a.perm_rank, repr(a.total)) == (exact.k, exact.perm_rank, repr(exact.total))
+
+    def test_never_raises_on_short_sequences(self):
+        rng = np.random.default_rng(2024)
+        fell_back = 0
+        for _ in range(2000):
+            n, d = int(rng.integers(3, 12)), int(rng.integers(1, 5))
+            model = Model(
+                templates=rng.standard_normal((3, d)),
+                ordering_costs=rng.standard_normal(6),
+                coverage=5,
+            )
+            sample = SequenceSample("short", 1, rng.standard_normal((n, d)))
+            a = infer_greedy(model, sample)
+            expected = reference_greedy(model, sample)
+            if expected is None:
+                fell_back += 1
+                expected = infer_dp(model, sample)
+            assert (a.k, a.perm_rank, repr(a.total)) == (
+                expected.k, expected.perm_rank, repr(expected.total)
+            )
+        assert fell_back > 0
 
     def test_determinism(self, rng):
         model, sample = random_instance(rng, n_max=30, m_choices=(3,))

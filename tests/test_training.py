@@ -98,6 +98,37 @@ class TestSgdStep:
         # local templates receive weight (1 - gamma) = 0
         assert not stepped.templates.any()
 
+    @pytest.mark.parametrize(
+        "model_gamma, config_gamma",
+        [(0.0, 0.0), (0.5, 0.5), (0.5, 0.0)],
+        ids=["gamma-0", "gamma-0.5", "config-differs"],
+    )
+    def test_violating_step_follows_the_fixed_assignment_gradient(
+        self, rng, model_gamma, config_gamma
+    ):
+        cfg = TrainConfig(M=2, eta=0.1, lambda1=0.01, lambda2=0.02, gamma_g=config_gamma,
+                          coverage_t=1)
+        d = 3
+        model = Model(
+            templates=0.01 * rng.standard_normal((2, d)),
+            ordering_costs=0.01 * rng.standard_normal(2),
+            global_template=0.01 * rng.standard_normal(d) if model_gamma else None,
+            gamma_g=model_gamma,
+            coverage=1,
+        )
+        for label in (1, -1):
+            sample = make_sample(rng.standard_normal((6, d)), label=label)
+            stepped = sgd_step(model, sample, cfg)
+            assert stepped is not model  # |score| is far below the margin
+            k = infer_greedy(model, sample).k
+            gt, gc, gg = fixed_assignment_gradient(model, sample, k, cfg)
+            assert np.allclose(stepped.templates, model.templates - cfg.eta * gt)
+            assert np.allclose(stepped.ordering_costs, model.ordering_costs - cfg.eta * gc)
+            if gg is None:
+                assert stepped.global_template is None
+            else:
+                assert np.allclose(stepped.global_template, model.global_template - cfg.eta * gg)
+
     def test_rejects_multiclass_labels(self):
         cfg = TrainConfig(M=1)
         model = init_model(cfg, 2)
