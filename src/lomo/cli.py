@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .core import POOL_MODES, Model, SequenceSample
 from .data import (
+    MANIFEST_VERSION,
     Manifest,
     ManifestEntry,
     SynthConfig,
@@ -46,6 +47,7 @@ from .inference import BRUTE_FORCE_GUARD, SOLVERS
 from .pipeline import (
     KIND_ALIASES,
     ModelSpec,
+    decide,
     derive_seed,
     late_fusion,
     load_model,
@@ -105,11 +107,11 @@ def _config_from_args(args) -> TrainConfig:
     )
 
 
-def _write_run_record(out_path, args_ns, resolved, seed, outputs, started):
+def _write_run_record(out_path, argv, resolved, seed, outputs, started):
     record = {
         "tool": "lomo",
         "version": __version__,
-        "argv": sys.argv[1:] if args_ns is None else args_ns,
+        "argv": argv,
         "resolved_config": resolved,
         "seed": seed,
         "outputs": [str(o) for o in outputs],
@@ -150,8 +152,9 @@ def cmd_predict(args, argv) -> int:
     started = time.time()
     loaded = load_model(args.model)
     samples, _ = load_dataset(args.manifest)
-    solver_fn = SOLVERS[args.solver]
     model = loaded.model
+    assignments = [SOLVERS[args.solver](model, s) for s in samples]
+    decisions = decide([a.total for a in assignments])
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
         header = ["id", "label", "score", "decision"]
@@ -159,9 +162,8 @@ def cmd_predict(args, argv) -> int:
             header += [f"k{i}" for i in range(model.n_events)]
             header += ["perm_rank", "template_score", "ordering_cost", "global_score"]
         writer.writerow(header)
-        for s in samples:
-            a = solver_fn(model, s)
-            row = [s.id, s.label, repr(a.total), 1 if a.total >= 0.0 else -1]
+        for s, a, decision in zip(samples, assignments, decisions):
+            row = [s.id, s.label, repr(a.total), decision]
             if args.dump_latents:
                 row += [str(ki) for ki in a.k]
                 row += [
@@ -213,8 +215,7 @@ def cmd_eval(args, argv) -> int:
         mode = "equal_mean" if args.fusion == "equal" else "zscore_weighted"
         fused = late_fusion(tables, mode=mode, weights=weights)
         labels = np.array([s.label for s in samples])
-        decisions = np.where(fused >= 0.0, 1, -1)
-        values = _score_metrics(metrics, fused, decisions, labels, None)
+        values = _score_metrics(metrics, fused, labels, None)
         payload = {
             "mode": f"fusion:{mode}",
             "models": model_paths,
@@ -295,7 +296,7 @@ def cmd_synth(args, argv) -> int:
             write_lseq(os.path.join(args.out_dir, rel), [s])
             entries.append(ManifestEntry(path=rel, label=s.label, group=s.group, fold=None))
         manifest_path = os.path.join(args.out_dir, f"{split}.json")
-        save_manifest(manifest_path, Manifest(version=1, dim=config.dim, entries=entries))
+        save_manifest(manifest_path, Manifest(MANIFEST_VERSION, config.dim, entries))
         outputs.append(manifest_path)
     record_base = os.path.join(args.out_dir, "synth")
     _write_run_record(record_base, argv, asdict(config), config.seed, outputs, started)
@@ -310,6 +311,8 @@ def cmd_infer_bench(args, argv) -> int:
     from math import factorial
 
     started = time.time()
+    if args.instances < 1:
+        raise ValueError(f"--instances must be at least 1, got {args.instances}")
     n_list = [int(x) for x in args.n.split(",")]
     m_list = [int(x) for x in args.m.split(",")]
     t_list = [int(x) for x in args.t.split(",")]

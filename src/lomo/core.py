@@ -28,12 +28,6 @@ MAX_EVENTS = 8
 POOL_MODES = ("mean", "max")
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class SequenceSample:
     """One labeled sequence of d-dimensional frame vectors.
@@ -81,6 +75,15 @@ class SequenceSample:
     @property
     def dim(self) -> int:
         return self.frames.shape[1]
+
+
+# The labels of binary mode; any other label is a multiclass class index.
+BINARY_LABELS = frozenset((-1, 1))
+
+
+def is_binary(labels) -> bool:
+    """True when every label is -1 or +1, the binary convention of ``SequenceSample``."""
+    return BINARY_LABELS.issuperset(labels)
 
 
 @dataclass(frozen=True, eq=False)

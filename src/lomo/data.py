@@ -23,10 +23,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import SequenceSample
+from .core import SequenceSample, is_binary
 from .errors import DataError, InfeasibleError
 
 LSEQ_VERSION = 1
+MANIFEST_VERSION = 1
 
 NEG_MODES = ("shuffled_order", "events_absent")
 
@@ -190,6 +191,8 @@ def load_manifest(path) -> Manifest:
         dim = _json_int(payload["dim"], "dim")
     except TypeError as exc:
         raise DataError(f"manifest {path} has a malformed version or dim: {exc}")
+    if version != MANIFEST_VERSION:
+        raise DataError(f"manifest {path} has unsupported version {version}")
     entries = []
     for i, raw in enumerate(payload["entries"]):
         try:
@@ -242,7 +245,7 @@ def load_dataset(manifest_path) -> Tuple[List[SequenceSample], Dict[str, Optiona
     if not samples:
         raise DataError(f"manifest {manifest_path} lists no entries")
     labels = sorted({s.label for s in samples})
-    if not set(labels) <= {-1, 1}:
+    if not is_binary(labels):
         # multiclass mode: class indices must form a contiguous 0..C-1 set
         if labels != list(range(len(labels))):
             raise DataError(

@@ -16,10 +16,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .core import SequenceSample
+from .core import SequenceSample, is_binary
 from .errors import DataError
-from .pipeline import ModelSpec, late_fusion, predict_table, train_multiclass, train_spec
-from .training import TrainConfig
+from .pipeline import ModelSpec, decide, late_fusion, predict_table, train_multiclass, train_spec
 
 METRIC_NAMES = ("acc", "avgclassacc", "map", "auc", "eer")
 
@@ -37,9 +36,8 @@ def _binary_arrays(scores, labels):
         raise ValueError(f"scores and labels differ in length: {scores.shape} vs {labels.shape}")
     if not np.isfinite(scores).all():
         raise ValueError("scores contain non-finite values")
-    bad = set(np.unique(labels)) - {-1, 1}
-    if bad:
-        raise ValueError(f"binary metrics expect labels -1/+1, got extra values {sorted(bad)}")
+    if not is_binary(labels):
+        raise ValueError(f"binary metrics expect labels -1/+1, got {sorted(set(labels.tolist()))}")
     return scores, labels
 
 
@@ -67,6 +65,14 @@ def mean_average_precision(score_table, labels, class_labels: Optional[Sequence[
     table = np.asarray(score_table, dtype=np.float64)
     if table.ndim == 1:
         return average_precision(table, labels)
+    return _one_vs_all_mean(average_precision, table, labels, class_labels, need_negatives=False)
+
+
+def _one_vs_all_mean(metric, table, labels, class_labels, need_negatives: bool) -> float:
+    """Unweighted mean of a binary metric over the columns of an (n, C) table,
+    column i scored one-vs-all against class_labels[i] (default: the sorted
+    distinct labels). Classes absent from the evaluated set are skipped, and
+    with ``need_negatives`` so are classes that every sample has."""
     labels = np.asarray(labels).reshape(-1).astype(int)
     if class_labels is None:
         class_labels = sorted(np.unique(labels).tolist())
@@ -74,14 +80,15 @@ def mean_average_precision(score_table, labels, class_labels: Optional[Sequence[
         raise ValueError(
             f"score table has {table.shape[1]} columns for {len(class_labels)} classes"
         )
-    aps = []
+    values = []
     for ci, cls in enumerate(class_labels):
         relevance = np.where(labels == cls, 1, -1)
-        if (relevance > 0).any():
-            aps.append(average_precision(table[:, ci], relevance))
-    if not aps:
-        raise ValueError("no class has positive samples in the evaluated set")
-    return float(np.mean(aps))
+        if (relevance > 0).any() and not (need_negatives and (relevance > 0).all()):
+            values.append(metric(table[:, ci], relevance))
+    if not values:
+        outcomes = "both outcomes" if need_negatives else "positive samples"
+        raise ValueError(f"{metric.__name__}: no class has {outcomes} in the evaluated set")
+    return float(np.mean(values))
 
 
 def auc(scores, labels) -> float:
@@ -283,18 +290,15 @@ def config_fingerprint(payload) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _is_binary(labels) -> bool:
-    return set(np.unique(labels).tolist()) <= {-1, 1}
-
-
 def _score_metrics(
     names: Sequence[str],
     scores: np.ndarray,
-    decisions: np.ndarray,
     labels: np.ndarray,
     class_labels: Optional[List[int]],
 ) -> Dict[str, float]:
-    binary = class_labels is None
+    """Metric values for a score table: 1-D binary with class_labels None, or
+    (n, C) one-vs-all with one class label per column."""
+    decisions = decide(scores, class_labels)
     out: Dict[str, float] = {}
     for name in names:
         if name == "acc":
@@ -302,24 +306,13 @@ def _score_metrics(
         elif name == "avgclassacc":
             out[name] = average_class_accuracy(decisions, labels)
         elif name == "map":
-            out[name] = (
-                average_precision(scores, labels)
-                if binary
-                else mean_average_precision(scores, labels, class_labels)
-            )
+            out[name] = mean_average_precision(scores, labels, class_labels)
         elif name in ("auc", "eer"):
             fn = auc if name == "auc" else roc_eer_rate
-            if binary:
-                out[name] = fn(scores, labels)
-            else:
-                vals = []
-                for ci, cls in enumerate(class_labels):
-                    rel = np.where(labels == cls, 1, -1)
-                    if (rel > 0).any() and (rel < 0).any():
-                        vals.append(fn(scores[:, ci], rel))
-                if not vals:
-                    raise ValueError(f"{name} undefined: no class has both outcomes present")
-                out[name] = float(np.mean(vals))
+            out[name] = (
+                fn(scores, labels) if class_labels is None
+                else _one_vs_all_mean(fn, scores, labels, class_labels, need_negatives=True)
+            )
         else:
             raise ValueError(f"unknown metric {name!r}; expected one of {METRIC_NAMES}")
     return out
@@ -343,7 +336,7 @@ def cross_validate(
     if unassigned:
         raise DataError(f"samples missing from the fold assignment: {unassigned[:5]}")
     labels_all = np.array([s.label for s in dataset])
-    binary = _is_binary(labels_all)
+    binary = is_binary(labels_all)
     class_labels = None if binary else sorted(np.unique(labels_all).tolist())
 
     def run_fold(fold: int) -> Dict:
@@ -356,18 +349,15 @@ def cross_validate(
         assert not ({s.id for s in train_set} & {s.id for s in eval_set})
         if binary:
             model = train_spec(train_set, spec, solver=solver, trace_every=0).model
-            scores = predict_table(model, eval_set, solver)
-            decisions = np.where(scores >= 0.0, 1, -1)
         else:
-            mm = train_multiclass(train_set, spec, class_labels=class_labels, solver=solver)
-            scores = predict_table(mm, eval_set, solver)
-            decisions = np.array([class_labels[i] for i in np.argmax(scores, axis=1)])
+            model = train_multiclass(train_set, spec, class_labels=class_labels, solver=solver)
+        scores = predict_table(model, eval_set, solver)
         y = np.array([s.label for s in eval_set])
         return {
             "fold": fold,
             "n_eval": len(eval_set),
-            "metrics": _score_metrics(metrics, scores, decisions, y, class_labels),
-            "decisions": decisions,
+            "metrics": _score_metrics(metrics, scores, y, class_labels),
+            "decisions": decide(scores, class_labels),
             "labels": y,
         }
 
@@ -395,7 +385,7 @@ def cross_validate(
             "folds": {"policy": folds.policy, "n": folds.n_folds, "name": folds.name},
         }
     )
-    report = EvalReport(
+    return EvalReport(
         name=folds.name,
         metrics=list(metrics),
         solver=solver,
@@ -410,7 +400,6 @@ def cross_validate(
         config_fingerprint=fingerprint,
         extra={"kind": spec.kind, "binary": binary, "n_samples": len(dataset)},
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +514,7 @@ def search_fusion_weights(
         if not any(w != 0.0 for w in weights):
             continue
         fused = late_fusion(score_tables, mode=mode, weights=weights)
-        if class_labels is None:
-            decisions = np.where(fused >= 0.0, 1, -1)
-        else:
-            decisions = np.array([class_labels[i] for i in np.argmax(fused, axis=1)])
-        score = _score_metrics((metric,), fused, decisions, labels, class_labels)[metric]
+        score = _score_metrics((metric,), fused, labels, class_labels)[metric]
         if best is None or score > best[2]:
             best = (weights, fused, score)
     if best is None:

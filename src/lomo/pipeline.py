@@ -161,17 +161,19 @@ def predict(
     return SOLVERS[solver](model, sample).total
 
 
-def decide(
-    model: Union[Model, MulticlassModel],
-    sample: SequenceSample,
-    solver: str = "greedy",
-) -> int:
-    """Hard decision: sign of the score for binary models (0 counts as +1),
-    argmax class label for multiclass (ties toward the smallest index)."""
-    scores = predict(model, sample, solver)
-    if isinstance(model, MulticlassModel):
-        return model.class_labels[int(np.argmax(scores))]
-    return 1 if scores >= 0.0 else -1
+def decide(scores, class_labels: Optional[Sequence[int]] = None) -> np.ndarray:
+    """Hard decisions from a score table.
+
+    A 1-D (binary) table gives the sign of each score, 0 counting as +1. An
+    (n, C) one-vs-all table gives ``class_labels[argmax]`` per row, ties
+    going to the smallest column.
+    """
+    scores = np.asarray(scores)
+    if scores.ndim < 2:
+        return np.where(scores >= 0.0, 1, -1)
+    if class_labels is None or len(class_labels) != scores.shape[1]:
+        raise ValueError(f"a score table with {scores.shape[1]} columns needs as many class labels")
+    return np.asarray(class_labels)[np.argmax(scores, axis=1)]
 
 
 def predict_table(

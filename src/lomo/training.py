@@ -27,11 +27,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import MAX_EVENTS, POOL_MODES, Model, SequenceSample, perm_rank, pool, score_fixed
+from .core import (
+    BINARY_LABELS, MAX_EVENTS, POOL_MODES, Model, SequenceSample, perm_rank, pool, score_fixed,
+)
 from .errors import DataError
 from .inference import SOLVERS
-
-BINARY_LABELS = (-1, 1)
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,8 @@ def sgd_step(
     )
 
 
-def _check_dataset(dataset: Sequence[SequenceSample]) -> int:
+def _check_dataset(dataset: Sequence[SequenceSample], n_events: int) -> None:
+    """Reject a dataset the trainer cannot run on, before the first step."""
     if not dataset:
         raise DataError("training dataset is empty")
     dim = dataset[0].dim
@@ -165,7 +166,8 @@ def _check_dataset(dataset: Sequence[SequenceSample]) -> int:
             )
         if s.label not in BINARY_LABELS:
             raise DataError(f"binary training expects labels -1/+1, got {s.label} (sample {s.id!r})")
-    return dim
+        if s.n_frames < n_events:
+            raise DataError(f"sample {s.id!r} has {s.n_frames} frames, fewer than M={n_events}")
 
 
 def _regularizer(model: Model, config: TrainConfig) -> float:
@@ -209,7 +211,7 @@ def train(
     solver call per sample; the trace never touches the random stream, so
     the model and ``violations`` do not depend on it.
     """
-    _check_dataset(dataset)
+    _check_dataset(dataset, config.M)
     if trace_every is not None and trace_every < 0:
         raise ValueError(f"trace_every must be non-negative or None, got {trace_every}")
     rng = np.random.default_rng(config.seed)

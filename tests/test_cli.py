@@ -37,6 +37,20 @@ def write_three_class_manifest(directory, rng):
     save_manifest(directory / "mc.json", Manifest(1, 3, entries))
 
 
+def write_manifest_of_lengths(directory, lengths, rng):
+    """One 3-dimensional sequence per length, ids len0, len1, ..., labels
+    -1, +1 in turn, listed in lengths.json."""
+    from lomo import Manifest, ManifestEntry, SequenceSample, save_manifest, write_lseq
+
+    entries = []
+    for i, n in enumerate(lengths):
+        sid, label = f"len{i}", 1 if i % 2 else -1
+        frames = rng.standard_normal((n, 3))
+        write_lseq(directory / f"{sid}.lseq", [SequenceSample(sid, label, frames)])
+        entries.append(ManifestEntry(path=f"{sid}.lseq", label=label))
+    save_manifest(directory / "lengths.json", Manifest(1, 3, entries))
+
+
 def read_tsv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh, delimiter="\t"))
@@ -87,43 +101,39 @@ class TestTrain:
         assert main(["train", "--bogus-flag"]) == 1
 
     def test_infeasible_instance_exits_3(self, tmp_path, capsys, rng):
-        from lomo import Manifest, ManifestEntry, SequenceSample, save_manifest, write_lseq
+        from lomo import Model, save_model
 
-        entries = []
-        for i, label in enumerate((1, -1)):
-            sid = f"short{i}"
-            write_lseq(
-                tmp_path / f"{sid}.lseq",
-                [SequenceSample(sid, label, rng.standard_normal((2, 3)))],
-            )
-            entries.append(ManifestEntry(path=f"{sid}.lseq", label=label))
-        save_manifest(tmp_path / "short.json", Manifest(1, 3, entries))
+        write_manifest_of_lengths(tmp_path, [2, 2], rng)
+        model = Model(templates=np.ones((3, 3)), ordering_costs=np.zeros(6))
+        save_model(tmp_path / "m3.bin", model)
         # two-frame sequences cannot host three events
         rc = main([
-            "train", "--manifest", str(tmp_path / "short.json"), "--model-kind", "lomo",
-            "--events", "3", "--maxiter", "10", "--coverage-t", "0",
-            "--out", str(tmp_path / "x.bin"),
+            "predict", "--model", str(tmp_path / "m3.bin"),
+            "--manifest", str(tmp_path / "lengths.json"), "--out", str(tmp_path / "p.tsv"),
         ])
         assert rc == 3
         assert "shorter than number of events" in capsys.readouterr().err
+        assert not (tmp_path / "p.tsv").exists()
+
+    def test_sequence_shorter_than_events_exits_2_before_training(self, tmp_path, capsys, rng):
+        write_manifest_of_lengths(tmp_path, [8, 8, 8, 2, 8, 8], rng)
+        out = tmp_path / "x.bin"
+        rc = main([
+            "train", "--manifest", str(tmp_path / "lengths.json"), "--events", "3",
+            "--solver", "dp", "--maxiter", "200", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "sample 'len3' has 2 frames" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "x.bin.run.json").exists()
 
     def test_short_sequences_train_with_the_default_solver(self, tmp_path, rng):
-        from lomo import Manifest, ManifestEntry, SequenceSample, save_manifest, write_lseq
-
-        entries = []
-        for i in range(8):
-            sid, label = f"short{i}", 1 if i % 2 else -1
-            write_lseq(
-                tmp_path / f"{sid}.lseq",
-                [SequenceSample(sid, label, rng.standard_normal((7, 3)))],
-            )
-            entries.append(ManifestEntry(path=f"{sid}.lseq", label=label))
-        save_manifest(tmp_path / "short.json", Manifest(1, 3, entries))
+        write_manifest_of_lengths(tmp_path, [7] * 8, rng)
         # at N=7, M=3 the radius clamps to 2, and greedy's windows often
         # cover all seven frames after two picks; those samples go to dp
         out = tmp_path / "short.bin"
         assert main([
-            "train", "--manifest", str(tmp_path / "short.json"), "--events", "3",
+            "train", "--manifest", str(tmp_path / "lengths.json"), "--events", "3",
             "--maxiter", "50", "--seed", "1", "--out", str(out),
         ]) == 0
         assert load_model(out).model.n_events == 3
@@ -362,6 +372,16 @@ class TestInferBench:
         for row in rows:
             if row["solver"] in ("dp", "brute"):
                 assert float(row["score_gap_vs_greedy"]) >= 0.0
+
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_fewer_than_one_instance_is_a_usage_error(self, tmp_path, capsys, instances):
+        out = tmp_path / "bench.csv"
+        assert main([
+            "infer-bench", "--n", "10", "--m", "2", "--t", "1", "--dim", "2",
+            "--instances", instances, "--solvers", "greedy", "--out", str(out),
+        ]) == 1
+        assert "--instances must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_brute_skipped_when_guard_trips(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

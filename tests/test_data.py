@@ -279,10 +279,11 @@ class TestManifest:
             {"version": 1, "dim": 2, "entries": [{"path": "a", "label": 1, "fold": False}]},
             {"version": 1.0, "dim": 2, "entries": []},
             {"version": 1, "dim": True, "entries": []},
+            {"version": 99, "dim": 2, "entries": []},
         ],
         ids=["top-level-number", "entries-number", "version-text", "dim-infinite",
              "path-list", "group-number", "label-float", "label-bool", "fold-float",
-             "fold-bool", "version-float", "dim-bool"],
+             "fold-bool", "version-float", "dim-bool", "version-99"],
     )
     def test_malformed_fields_raise_data_error(self, tmp_path, payload):
         path = tmp_path / "m.json"

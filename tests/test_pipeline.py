@@ -99,8 +99,8 @@ class TestBinaryAndMulticlass:
         data = self._separable_multiclass(rng)
         spec = ModelSpec("MIL", TrainConfig(M=1, maxiter=600, seed=3, coverage_t=0))
         mm = train_multiclass(data, spec)
-        correct = sum(decide(mm, s) == s.label for s in data)
-        assert correct == len(data)
+        decisions = decide(predict_table(mm, data), mm.class_labels)
+        assert decisions.tolist() == [s.label for s in data]
 
     def test_multiclass_deterministic(self, rng):
         data = self._separable_multiclass(rng)
@@ -142,7 +142,7 @@ class TestPredict:
         model = Model(templates=[[0.0]], ordering_costs=[0.0])
         sample = make_sample([[5.0]])
         assert predict(model, sample) == 0.0
-        assert decide(model, sample) == 1
+        assert decide([predict(model, sample)]).tolist() == [1]
 
     def test_multiclass_argmax_smallest_index_tie(self, rng):
         # two identical class models tie; the smaller class index wins
@@ -155,7 +155,16 @@ class TestPredict:
         sample = make_sample([[1.0]])
         scores = predict(mm, sample)
         assert scores[1] == scores[2] > scores[0]
-        assert decide(mm, sample) == 1
+        assert decide([scores], mm.class_labels).tolist() == [1]
+
+    def test_decide_maps_columns_to_class_labels(self):
+        table = [[0.1, 0.7, -2.0], [3.0, 3.0, 3.0], [-1.0, -0.5, 0.0]]
+        assert decide(table, [4, 9, 2]).tolist() == [9, 4, 2]
+        assert decide([-0.5, 0.0, 2.0]).tolist() == [-1, 1, 1]
+        with pytest.raises(ValueError, match="3 columns"):
+            decide(table)
+        with pytest.raises(ValueError, match="3 columns"):
+            decide(table, [0, 1])
 
     def test_mil_predict_is_max_frame_dot_product(self, rng):
         spec = ModelSpec("MIL", TrainConfig(M=1, maxiter=200, seed=2, coverage_t=0))

@@ -203,6 +203,18 @@ class TestTrain:
         with pytest.raises(DataError):
             train(data, TrainConfig())
 
+    def test_sequence_shorter_than_events_rejected_before_the_first_step(self, rng, monkeypatch):
+        import lomo.training
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran before the dataset check")
+
+        monkeypatch.setattr(lomo.training, "sgd_step", no_step)
+        data = [make_sample(rng.standard_normal((n, 3)), 1 if i % 2 else -1, f"s{i}")
+                for i, n in enumerate([8, 8, 8, 2, 8, 8])]
+        with pytest.raises(DataError, match="sample 's3' has 2 frames, fewer than M=3"):
+            train(data, TrainConfig(M=3, maxiter=50), solver="dp")
+
     def test_multiclass_labels_rejected(self, rng):
         data = [make_sample(rng.standard_normal((4, 3)), 0, "a"),
                 make_sample(rng.standard_normal((4, 3)), 1, "b")]
