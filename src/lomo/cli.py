@@ -23,7 +23,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .core import POOL_MODES, Model, SequenceSample
+from .core import POOL_MODES, Model, SequenceSample, is_binary
 from .data import (
     MANIFEST_VERSION,
     Manifest,
@@ -206,6 +206,10 @@ def cmd_eval(args, argv) -> int:
     seed = _default_seed() if args.seed is None else args.seed
 
     if args.fuse:
+        labels = np.array([s.label for s in samples])
+        if not is_binary(labels.tolist()):
+            found = sorted(set(labels.tolist()))
+            raise DataError(f"--fuse needs a binary manifest (labels -1/+1), got labels {found}")
         model_paths = [p for p in args.fuse.split(",") if p]
         loadeds = [load_model(p) for p in model_paths]
         tables = [predict_table(l.model, samples, args.solver) for l in loadeds]
@@ -214,7 +218,6 @@ def cmd_eval(args, argv) -> int:
             weights = [float(w) for w in args.weights.split(",")]
         mode = "equal_mean" if args.fusion == "equal" else "zscore_weighted"
         fused = late_fusion(tables, mode=mode, weights=weights)
-        labels = np.array([s.label for s in samples])
         values = _score_metrics(metrics, fused, labels, None)
         payload = {
             "mode": f"fusion:{mode}",

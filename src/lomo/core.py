@@ -149,6 +149,30 @@ class Model:
         object.__setattr__(self, "gamma_g", float(self.gamma_g))
         object.__setattr__(self, "coverage", int(self.coverage))
 
+    def _stepped(self, templates, ordering_costs, global_template) -> "Model":
+        """This model with new parameters, taken over as read-only arrays.
+
+        For float64 arrays with this model's shapes that a training step
+        has just allocated; ``ordering_costs`` may be this model's own. Only
+        finiteness is checked, since every other field is this model's.
+        """
+        if not (np.isfinite(templates).all() and np.isfinite(ordering_costs).all()):
+            raise ValueError("model parameters contain non-finite values")
+        if global_template is not None:
+            if not np.isfinite(global_template).all():
+                raise ValueError("global template contains non-finite values")
+            global_template.setflags(write=False)
+        templates.setflags(write=False)
+        ordering_costs.setflags(write=False)
+        twin = object.__new__(type(self))
+        twin.__dict__.update(
+            self.__dict__,
+            templates=templates,
+            ordering_costs=ordering_costs,
+            global_template=global_template,
+        )
+        return twin
+
     @property
     def n_events(self) -> int:
         return self.templates.shape[0]
@@ -252,7 +276,16 @@ def score_fixed(
                     f"latent frames {k[i]} and {k[j]} closer than the required "
                     f"separation {min_dist}"
                 )
-    rank = perm_rank(k)
+    return _score_placement(model, sample, k, perm_rank(k))
+
+
+def _score_placement(model: Model, sample: SequenceSample, k: tuple, rank: int) -> LatentAssignment:
+    """``score_fixed`` without its checks, for placements a solver has built.
+
+    ``k`` is a tuple of ints that passes ``score_fixed``'s dimension, bounds
+    and spacing checks, and ``rank`` is its ``perm_rank``.
+    """
+    m = len(k)
     template_score = sum(float(np.dot(model.templates[i], sample.frames[k[i]])) for i in range(m)) / m
     ordering_cost = float(model.ordering_costs[rank - 1])
     if model.global_template is not None:

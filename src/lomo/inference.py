@@ -28,7 +28,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .core import MAX_EVENTS, LatentAssignment, Model, SequenceSample, score_fixed
+from .core import MAX_EVENTS, LatentAssignment, Model, SequenceSample, _score_placement, perm_rank
+from .core import score_fixed  # noqa: F401  (module attribute that tracers patch)
 from .errors import DataError, InfeasibleError
 
 BRUTE_FORCE_GUARD = 10**7
@@ -66,6 +67,34 @@ def _orderings(m: int):
     return slot_orders, {order: rank0 for rank0, order in enumerate(slot_orders)}
 
 
+@lru_cache(maxsize=MAX_EVENTS)
+def _suffix_schedule(m: int):
+    """The trie of slot-order suffixes in depth-first order, built once per M.
+
+    Slots are filled from the last one backwards, and the children of a
+    node come in increasing template order. Each entry is ``(j, template,
+    rank0)``: the node puts ``template`` in slot j, and ``rank0`` is the
+    0-based permutation rank of the completed ordering at a leaf (j == 0),
+    None elsewhere. A node's parent is the latest earlier entry at slot
+    j + 1, so one stage per slot, overwritten in this order, keeps each
+    node's parent stage at hand.
+    """
+    slot_orders, rank_of = _orderings(m)
+    schedule = []
+
+    def visit(j, suffix):
+        for tpl in range(m):
+            if tpl in suffix:
+                continue
+            order = (tpl,) + suffix
+            schedule.append((j, tpl, rank_of[order] if j == 0 else None))
+            if j:
+                visit(j - 1, order)
+
+    visit(m - 1, ())
+    return tuple(schedule)
+
+
 def _responses(model: Model, sample: SequenceSample) -> np.ndarray:
     if model.dim != sample.dim:
         raise DataError(
@@ -93,7 +122,7 @@ def infer_greedy(model: Model, sample: SequenceSample) -> LatentAssignment:
         ki = int(np.argmax(np.where(alive, row, -np.inf)))  # smallest index wins ties
         k.append(ki)
         alive[max(0, ki - t_eff): ki + t_eff + 1] = False
-    return score_fixed(model, sample, k, t_eff=t_eff)
+    return _score_placement(model, sample, tuple(k), perm_rank(k))
 
 
 def _stage(row, nxt, n: int, gap: int):
@@ -131,38 +160,29 @@ def infer_dp(model: Model, sample: SequenceSample) -> LatentAssignment:
     local_weight = 1.0 - model.gamma_g
     scaled = (local_weight / m) * resp
     rows = [scaled[i].tolist() for i in range(m)]
-    costs = model.ordering_costs
-    slot_orders, rank_of = _orderings(m)
-    order = [0] * m  # order[j]: template in slot j on the current path
+    weighted_costs = (local_weight * model.ordering_costs).tolist()
+    last = m - 1
     stages = [None] * m  # stages[j]: suffix stage of slot j on the current path
     best_value = -np.inf
     best_rank0 = 0
     best_stages = None
-    # (slot, template) trie nodes still to visit; a node's stage is computed
-    # from its parent's, which is on the current path when the node is popped
-    pending = [(m - 1, tpl) for tpl in range(m - 1, -1, -1)]
-    while pending:
-        j, tpl = pending.pop()
-        order[j] = tpl
-        stages[j] = rows[tpl] if j == m - 1 else _stage(rows[tpl], stages[j + 1], n, gap)
-        if j:
-            used = order[j:]
-            pending.extend((j - 1, t) for t in range(m - 1, -1, -1) if t not in used)
+    for j, tpl, rank0 in _suffix_schedule(m):
+        stages[j] = rows[tpl] if j == last else _stage(rows[tpl], stages[j + 1], n, gap)
+        if rank0 is None:
             continue
-        rank0 = rank_of[tuple(order)]
-        value = max(stages[0]) + local_weight * float(costs[rank0])
+        value = max(stages[0]) + weighted_costs[rank0]
         if value > best_value or (value == best_value and rank0 < best_rank0):
             best_value = value
             best_rank0 = rank0
             best_stages = stages[:]
-    slot_templates = slot_orders[best_rank0]
+    slot_templates = _orderings(m)[0][best_rank0]
     k = [0] * m
     pos = -gap
     for j in range(m):
         seg = best_stages[j][pos + gap:]
         pos += gap + seg.index(max(seg))
         k[slot_templates[j]] = pos
-    return score_fixed(model, sample, k, t_eff=t_eff)
+    return _score_placement(model, sample, tuple(k), best_rank0 + 1)
 
 
 def infer_brute(model: Model, sample: SequenceSample) -> LatentAssignment:
@@ -189,6 +209,7 @@ def infer_brute(model: Model, sample: SequenceSample) -> LatentAssignment:
     costs = model.ordering_costs
     best_value = -np.inf
     best_k = None
+    best_rank0 = 0
     for rank0, slot_templates in enumerate(_orderings(m)[0]):
         values = scaled[slot_templates[0]][combos[:, 0]].copy()
         for j in range(1, m):
@@ -201,7 +222,8 @@ def infer_brute(model: Model, sample: SequenceSample) -> LatentAssignment:
             for j, tpl in enumerate(slot_templates):
                 k[tpl] = int(combos[idx, j])
             best_k = k
-    return score_fixed(model, sample, best_k, t_eff=t_eff)
+            best_rank0 = rank0
+    return _score_placement(model, sample, tuple(best_k), best_rank0 + 1)
 
 
 SOLVERS = {

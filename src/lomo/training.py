@@ -127,31 +127,38 @@ def sgd_step(
     y = sample.label
     if y not in BINARY_LABELS:
         raise DataError(f"binary training expects labels -1/+1, got {y}")
-    assignment = SOLVERS[solver](model, sample)
-    if y * assignment.total >= 1.0:
-        return model
+    infer_fn = SOLVERS[solver]  # an unknown name fails at every gamma_g
     eta, gamma = config.eta, model.gamma_g
+    if gamma == 1.0:
+        # The placement has weight 0 in the score and in the update, so the
+        # solver is skipped and the sample is scored by its global term.
+        if model.dim != sample.dim:
+            raise DataError(
+                f"model dimension {model.dim} does not match sample dimension {sample.dim}"
+            )
+        assignment = None
+        total = float(np.dot(model.global_template, pool(sample, model.pooling)))
+    else:
+        assignment = infer_fn(model, sample)
+        total = assignment.total
+    if y * total >= 1.0:
+        return model
     m = model.n_events
     shrink = 1.0 - config.lambda1 * eta
     templates = model.templates * shrink
-    templates += (eta * (1.0 - gamma) * y / m) * sample.frames[list(assignment.k)]
+    if assignment is not None:
+        templates += (eta * (1.0 - gamma) * y / m) * sample.frames[list(assignment.k)]
     if config.ordinal_enabled:
         costs = model.ordering_costs * (1.0 - config.lambda2 * eta)
-        costs[assignment.perm_rank - 1] += eta * (1.0 - gamma) * y
+        if assignment is not None:
+            costs[assignment.perm_rank - 1] += eta * (1.0 - gamma) * y
     else:
         costs = model.ordering_costs
     global_template = model.global_template
     if global_template is not None:
         x_g = pool(sample, model.pooling)
         global_template = global_template * shrink + (eta * gamma * y) * x_g
-    return Model(
-        templates=templates,
-        ordering_costs=costs,
-        global_template=global_template,
-        gamma_g=model.gamma_g,
-        pooling=model.pooling,
-        coverage=model.coverage,
-    )
+    return model._stepped(templates, costs, global_template)
 
 
 def _check_dataset(dataset: Sequence[SequenceSample], n_events: int) -> None:
@@ -188,7 +195,7 @@ def objective(
     """Exact regularized objective with scores from the named solver."""
     if not dataset:
         raise DataError("objective requires a non-empty dataset")
-    infer_fn = SOLVERS[solver]
+    infer_fn = SOLVERS[solver]  # an unknown name fails at every gamma_g
     hinge = 0.0
     for sample in dataset:
         s = infer_fn(model, sample).total

@@ -356,6 +356,24 @@ class TestEval:
         assert a == b
 
 
+    @pytest.mark.parametrize("metric", ["acc", "auc"])
+    def test_fusing_on_a_multiclass_manifest_exits_2(self, tmp_path, rng, capsys, metric):
+        write_three_class_manifest(tmp_path, rng)
+        model = tmp_path / "m.bin"
+        assert main([
+            "train", "--manifest", str(tmp_path / "mc.json"), "--positive-class", "1",
+            "--model-kind", "mil", "--maxiter", "50", "--seed", "6", "--out", str(model),
+        ]) == 0
+        out = tmp_path / "fused.json"
+        rc = main([
+            "eval", "--manifest", str(tmp_path / "mc.json"), "--fuse", str(model),
+            "--metrics", metric, "--out", str(out),
+        ])
+        assert rc == 2
+        assert "binary manifest (labels -1/+1), got labels [0, 1, 2]" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestInferBench:
     def test_csv_rows_and_gap_nonnegative(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -1,4 +1,5 @@
 import gc
+from dataclasses import astuple
 from itertools import permutations
 from math import factorial
 
@@ -349,6 +350,33 @@ class TestSharedSuffixDp:
                     k[tpl] = slot
                 assert perm_rank(k) == rank0 + 1
                 assert rank_of[order] == rank0
+
+
+class TestSolverScoring:
+    def test_solvers_score_their_placement_as_score_fixed_does(self):
+        rng = np.random.default_rng(404)
+        for trial in range(450):
+            m = 1 + trial % 5
+            gamma_g = (0.0, 0.5, 1.0)[trial // 5 % 3]
+            n = int(rng.integers(m, m + 6))
+            if trial % 2:
+                model, sample = tie_prone_instance(rng, m, n, gamma_g)
+            else:
+                d = int(rng.integers(1, 6))
+                model = Model(
+                    templates=rng.standard_normal((m, d)),
+                    ordering_costs=rng.standard_normal(factorial(m)),
+                    global_template=rng.standard_normal(d) if gamma_g or trial % 4 == 0 else None,
+                    gamma_g=gamma_g,
+                    coverage=int(rng.integers(0, 3)),
+                )
+                sample = SequenceSample("s", 1, rng.standard_normal((n, d)))
+            t_eff = effective_t(n, m, model.coverage)
+            for solve in (infer_greedy, infer_dp, infer_brute):
+                got = solve(model, sample)
+                want = score_fixed(model, sample, got.k, t_eff=t_eff)
+                assert got == want, (trial, solve.__name__)
+                assert repr(astuple(got)) == repr(astuple(want)), (trial, solve.__name__)
 
 
 class TestRuntimeShape:

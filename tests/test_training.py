@@ -135,6 +135,105 @@ class TestSgdStep:
         with pytest.raises(DataError):
             sgd_step(model, make_sample([[1.0, 2.0]], label=3), cfg)
 
+    @pytest.mark.parametrize("gamma_g, ordinal", [(0.0, True), (0.5, True), (0.5, False)])
+    def test_stepped_model_is_read_only_and_saves_like_a_built_one(
+        self, rng, tmp_path, gamma_g, ordinal
+    ):
+        cfg = TrainConfig(M=3, coverage_t=1, gamma_g=gamma_g, ordinal_enabled=ordinal,
+                          lambda1=0.01, lambda2=0.02)
+        model = init_model(cfg, 4, rng)
+        stepped = sgd_step(model, make_sample(rng.standard_normal((9, 4)), label=1), cfg)
+        assert stepped is not model
+        arrays = [stepped.templates, stepped.ordering_costs]
+        if gamma_g:
+            arrays.append(stepped.global_template)
+        assert all(a.dtype == np.float64 and not a.flags.writeable for a in arrays)
+        built = Model(
+            templates=stepped.templates, ordering_costs=stepped.ordering_costs,
+            global_template=stepped.global_template, gamma_g=stepped.gamma_g,
+            pooling=stepped.pooling, coverage=stepped.coverage,
+        )
+        save_model(tmp_path / "stepped.bin", stepped)
+        save_model(tmp_path / "built.bin", built)
+        assert (tmp_path / "stepped.bin").read_bytes() == (tmp_path / "built.bin").read_bytes()
+
+    def test_non_finite_step_raises(self):
+        cfg = TrainConfig(M=1, eta=10.0, coverage_t=0)
+        local = Model(templates=[[0.0]], ordering_costs=[0.0])
+        pooled = Model(templates=[[0.0]], ordering_costs=[0.0], global_template=[0.0], gamma_g=1.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="model parameters contain non-finite values"):
+                sgd_step(local, make_sample([[1e308]]), cfg)
+            with pytest.raises(ValueError, match="global template contains non-finite values"):
+                sgd_step(pooled, make_sample([[1e308]]), cfg)
+
+
+def _solve_then_step(model, sample, config, solver="greedy"):
+    """``sgd_step`` as it was before the gamma_g == 1 shortcut: always solve,
+    then apply the placement's weight-0 update and rebuild the Model."""
+    from lomo.inference import SOLVERS
+
+    y = sample.label
+    assignment = SOLVERS[solver](model, sample)
+    if y * assignment.total >= 1.0:
+        return model
+    eta, gamma = config.eta, model.gamma_g
+    shrink = 1.0 - config.lambda1 * eta
+    templates = model.templates * shrink
+    templates += (eta * (1.0 - gamma) * y / model.n_events) * sample.frames[list(assignment.k)]
+    if config.ordinal_enabled:
+        costs = model.ordering_costs * (1.0 - config.lambda2 * eta)
+        costs[assignment.perm_rank - 1] += eta * (1.0 - gamma) * y
+    else:
+        costs = model.ordering_costs
+    global_template = model.global_template * shrink + (eta * gamma * y) * pool(sample, model.pooling)
+    return Model(
+        templates=templates, ordering_costs=costs, global_template=global_template,
+        gamma_g=model.gamma_g, pooling=model.pooling, coverage=model.coverage,
+    )
+
+
+class TestPooledOnlyStep:
+    """At gamma_g == 1 (MnP, MxP, GTP) the placement has weight 0."""
+
+    def _data(self, rng):
+        return [
+            make_sample(rng.standard_normal((int(rng.integers(3, 9)), 4)) + (0.3 if i % 2 else -0.3),
+                        1 if i % 2 else -1, f"s{i}")
+            for i in range(12)
+        ]
+
+    @pytest.mark.parametrize("solver", ["greedy", "dp"])
+    def test_no_solver_call(self, rng, monkeypatch, solver):
+        import lomo.inference
+
+        calls = []
+        for name, fn in list(lomo.inference.SOLVERS.items()):
+            monkeypatch.setitem(
+                lomo.inference.SOLVERS, name, lambda *a, _fn=fn: calls.append(1) or _fn(*a)
+            )
+        report = train(self._data(rng), TrainConfig(M=2, gamma_g=1.0, maxiter=200, coverage_t=1),
+                       solver=solver, trace_every=0)
+        assert report.violations > 0
+        assert calls == []
+
+    @pytest.mark.parametrize("pooling", ["mean", "max"])
+    @pytest.mark.parametrize("solver", ["greedy", "dp"])
+    def test_trains_the_model_of_the_solving_step(self, rng, monkeypatch, tmp_path, pooling, solver):
+        import lomo.training
+
+        data = self._data(rng)
+        cfg = TrainConfig(M=3, gamma_g=1.0, maxiter=400, coverage_t=1, pooling=pooling,
+                          lambda1=0.01, lambda2=0.05, init_scale=0.1, seed=4)
+        fast = train(data, cfg, solver=solver, trace_every=50)
+        monkeypatch.setattr(lomo.training, "sgd_step", _solve_then_step)
+        slow = train(data, cfg, solver=solver, trace_every=50)
+        assert fast.violations == slow.violations > 0
+        assert fast.trace == slow.trace
+        save_model(tmp_path / "fast.bin", fast.model)
+        save_model(tmp_path / "slow.bin", slow.model)
+        assert (tmp_path / "fast.bin").read_bytes() == (tmp_path / "slow.bin").read_bytes()
+
 
 class TestTrain:
     def _toy_data(self, rng, n=12, d=4):
