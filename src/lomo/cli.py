@@ -43,7 +43,7 @@ from .evaluation import (
     make_folds,
     _score_metrics,
 )
-from .inference import BRUTE_FORCE_GUARD, SOLVERS
+from .inference import BRUTE_FORCE_GUARD, SOLVERS, solve_set
 from .pipeline import (
     KIND_ALIASES,
     ModelSpec,
@@ -153,7 +153,7 @@ def cmd_predict(args, argv) -> int:
     loaded = load_model(args.model)
     samples, _ = load_dataset(args.manifest)
     model = loaded.model
-    assignments = [SOLVERS[args.solver](model, s) for s in samples]
+    assignments = solve_set(model, samples, args.solver)
     decisions = decide([a.total for a in assignments])
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter="\t", lineterminator="\n")

@@ -19,12 +19,19 @@ Every solver takes ``(model, sample)`` and uses the model's stored coverage
 radius, shrunk per sequence by ``effective_t`` so the constraint always
 admits at least one placement; nothing overrides it. Tie-breaking is total
 and documented per solver, making every result deterministic.
+
+``solve_set`` solves a whole set of sequences under one model, as scoring an
+evaluation set does. Its results are those of one solver call per sequence;
+for ``dp`` it runs ``infer_dp``'s recurrence as array operations over all
+the sequences at once, with bit-identical results. Training solves one
+sequence per step and calls the solvers directly.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
+from typing import List, Sequence
 
 import numpy as np
 
@@ -224,6 +231,103 @@ def infer_brute(model: Model, sample: SequenceSample) -> LatentAssignment:
             best_k = k
             best_rank0 = rank0
     return _score_placement(model, sample, tuple(best_k), best_rank0 + 1)
+
+
+def _solve_stack(rows, gap: int, weighted_costs):
+    """``infer_dp``'s ordering search and backtrack for S sequences at once.
+
+    ``rows`` is the (M, L, S) stack of scaled responses of S sequences that
+    share the stage gap: one column per sequence, its frames in reverse
+    order, -inf above its last frame. Read in reverse, ``_stage``'s running
+    maximum over the later frames is ``np.maximum.accumulate`` down the
+    parent stage, so each stage entry is the same IEEE sum ``_stage`` forms
+    and every comparison comes out as in ``infer_dp``. Each stage's running
+    maximum is kept per slot and shared by all the stage's children.
+    Returns each sequence's placement as a tuple and its 0-based
+    permutation rank.
+    """
+    m, length, size = rows.shape
+    last = m - 1
+    width = max(length - gap, 0)  # effective_t keeps gap < L whenever M >= 2
+    runs = np.empty((m, width, size))  # runs[j]: running maximum of slot j's stage on the current path
+    stage = np.full((length, size), -np.inf)  # no later slot fits in the first gap rows
+    best_value = np.full(size, -np.inf)
+    best_rank0 = np.zeros(size, dtype=np.intp)
+    for j, tpl, rank0 in _suffix_schedule(m):
+        if j == last:
+            current = rows[tpl]
+        else:
+            np.add(rows[tpl][gap:], runs[j + 1], out=stage[gap:])
+            current = stage
+        if rank0 is None:
+            np.maximum.accumulate(current[:width], axis=0, out=runs[j])
+            continue
+        value = current.max(axis=0)
+        value += weighted_costs[rank0]
+        better = value > best_value
+        # the schedule visits leaves out of rank order, so ties go to the smaller rank
+        tied = value == best_value
+        if tied.any():
+            better |= tied & (rank0 < best_rank0)
+        np.copyto(best_value, value, where=better)
+        np.copyto(best_rank0, rank0, where=better)
+    # Recompute the winning ordering's stages per sequence and backtrack in
+    # frame order.
+    slot_templates = np.array(_orderings(m)[0], dtype=np.intp)[best_rank0]  # (S, M)
+    seq = np.arange(size)
+    stages = np.full((m, length, size), -np.inf)
+    stages[last] = rows[slot_templates[:, last], :, seq].T
+    for j in range(last - 1, -1, -1):
+        run = np.maximum.accumulate(stages[j + 1][:width], axis=0)
+        np.add(rows[slot_templates[:, j], gap:, seq].T, run, out=stages[j][gap:])
+    frames = np.arange(length)[:, None]
+    k = np.empty((size, m), dtype=np.intp)
+    pos = np.full(size, -gap)
+    for j in range(m):
+        seg = np.where(frames >= pos + gap, stages[j][::-1], -np.inf)
+        pos = seg.argmax(axis=0)  # the first maximum, as seg.index(max(seg)) picks
+        k[seq, slot_templates[:, j]] = pos
+    return [tuple(row) for row in k.tolist()], best_rank0.tolist()
+
+
+def _solve_set_dp(model: Model, samples: Sequence[SequenceSample]) -> List[LatentAssignment]:
+    m = model.n_events
+    local_weight = 1.0 - model.gamma_g
+    # Check and scale every sample in input order first, so the first bad
+    # sample raises what a loop of infer_dp calls would raise.
+    scaled = []
+    groups = {}
+    for i, sample in enumerate(samples):
+        t_eff = effective_t(sample.n_frames, m, model.coverage)
+        scaled.append((local_weight / m) * _responses(model, sample))
+        # lengths within a factor of two share a stack, so padding at most doubles it
+        groups.setdefault((t_eff, sample.n_frames.bit_length()), []).append(i)
+    weighted_costs = local_weight * model.ordering_costs
+    results = [None] * len(samples)
+    for (t_eff, _), members in groups.items():
+        length = max(samples[i].n_frames for i in members)
+        rows = np.full((m, length, len(members)), -np.inf)
+        for s, i in enumerate(members):
+            rows[:, length - samples[i].n_frames :, s] = scaled[i][:, ::-1]
+        placements, ranks0 = _solve_stack(rows, t_eff + 1, weighted_costs)
+        for i, k, rank0 in zip(members, placements, ranks0):
+            results[i] = _score_placement(model, samples[i], k, rank0 + 1)
+    return results
+
+
+def solve_set(model: Model, samples: Sequence[SequenceSample], solver: str) -> List[LatentAssignment]:
+    """``[SOLVERS[solver](model, s) for s in samples]``, in input order.
+
+    For ``"dp"`` the suffix recurrence runs over all the samples at once:
+    samples that share ``effective_t`` and a length within a factor of two
+    are stacked, padded with -inf, and each suffix stage is one array
+    operation over the stack. Every result equals ``infer_dp``'s bit for
+    bit, and the first invalid sample raises what ``infer_dp`` raises on it.
+    """
+    if solver == "dp":
+        return _solve_set_dp(model, samples)
+    infer = SOLVERS[solver]
+    return [infer(model, s) for s in samples]
 
 
 SOLVERS = {

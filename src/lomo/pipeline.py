@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import MAX_EVENTS, POOL_MODES, Model, SequenceSample
 from .errors import DataError
-from .inference import SOLVERS
+from .inference import SOLVERS, solve_set
 from .training import TrainConfig, TrainReport, train
 
 KINDS = ("MnP", "MxP", "MIL", "LOMo", "LOMo_ord0", "GTP", "MILplusGTP", "ALOMo")
@@ -181,8 +181,15 @@ def predict_table(
     samples: Sequence[SequenceSample],
     solver: str = "greedy",
 ) -> np.ndarray:
-    """Scores for a whole evaluation set: shape (n,) binary, (n, C) multiclass."""
-    return np.array([predict(model, s, solver) for s in samples])
+    """Scores for a whole evaluation set: shape (n,) binary, (n, C) multiclass.
+
+    Solves the set once per binary model with ``solve_set``; the table holds
+    the scores ``predict`` gives sample by sample, bit for bit.
+    """
+    if isinstance(model, MulticlassModel):
+        columns = [[a.total for a in solve_set(m, samples, solver)] for m in model.per_class]
+        return np.array(list(zip(*columns)))
+    return np.array([a.total for a in solve_set(model, samples, solver)])
 
 
 FUSION_MODES = ("equal_mean", "zscore_weighted")

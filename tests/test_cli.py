@@ -263,6 +263,29 @@ class TestPredict:
             assert len(set(k)) == m
             assert 1 <= int(row[4 + m]) <= 2
 
+    def test_dp_latent_dump_equals_one_infer_dp_call_per_sequence(
+        self, synth_dir, tmp_path, model_path
+    ):
+        from lomo import infer_dp, load_dataset
+
+        out = tmp_path / "latents.tsv"
+        assert main([
+            "predict", "--model", str(model_path), "--manifest", str(synth_dir / "test.json"),
+            "--solver", "dp", "--dump-latents", "--out", str(out),
+        ]) == 0
+        model = load_model(model_path).model
+        samples, _ = load_dataset(synth_dir / "test.json")
+        expected = []
+        for s in samples:
+            a = infer_dp(model, s)
+            expected.append(
+                [s.id, str(s.label), repr(a.total), "1" if a.total >= 0 else "-1"]
+                + [str(ki) for ki in a.k]
+                + [str(a.perm_rank), repr(a.template_score), repr(a.ordering_cost),
+                   repr(a.global_score)]
+            )
+        assert read_tsv(out)[1:] == expected
+
     def test_decision_is_sign_of_score(self, synth_dir, tmp_path, model_path):
         out = tmp_path / "scores.tsv"
         assert main([

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lomo import (
+    DataError,
     InfeasibleError,
     Model,
     SequenceSample,
@@ -16,6 +17,7 @@ from lomo import (
     infer_greedy,
     perm_rank,
     score_fixed,
+    solve_set,
 )
 from lomo import inference
 from conftest import random_instance
@@ -350,6 +352,90 @@ class TestSharedSuffixDp:
                     k[tpl] = slot
                 assert perm_rank(k) == rank0 + 1
                 assert rank_of[order] == rank0
+
+
+def set_samples(rng, model, lengths, integer):
+    """One sample per length in the model's dimension: small integers (tie
+    prone) or standard normal frames."""
+    d = model.dim
+    return [
+        SequenceSample(f"s{i}", 1, rng.integers(-1, 2, (n, d)) if integer else rng.standard_normal((n, d)))
+        for i, n in enumerate(lengths)
+    ]
+
+
+class TestSolveSet:
+    @pytest.mark.parametrize("gamma_g", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_dp_equals_one_infer_dp_call_per_sample(self, m, gamma_g):
+        rng = np.random.default_rng(10 * m + int(10 * gamma_g))
+        for trial in range(4):
+            integer = trial % 2 == 1
+            if integer:
+                model, _ = tie_prone_instance(rng, m, m, gamma_g)
+            else:
+                model, _ = random_instance(rng, n_max=m, n_min=m, m_choices=(m,))
+            # a radius that short sequences must clamp, and a global template
+            model = Model(
+                templates=model.templates, ordering_costs=model.ordering_costs,
+                global_template=rng.integers(-1, 2, model.dim) if integer else rng.standard_normal(model.dim),
+                gamma_g=gamma_g, coverage=int(rng.integers(2, 5)),
+            )
+            lengths = [m, m, m + 1, 2 * m + 1, 3 * m + 4, 4 * m + 9, 4 * m + 10, 9 * m + 20]
+            lengths = [int(n) for n in rng.permutation(lengths)]
+            samples = set_samples(rng, model, lengths, integer)
+            clamped = [effective_t(n, m, model.coverage) < model.coverage for n in lengths]
+            assert any(clamped) and not all(clamped)
+            assert len({n.bit_length() for n in lengths}) >= 3
+
+            got = solve_set(model, samples, "dp")
+            want = [infer_dp(model, s) for s in samples]
+            assert [repr(a) for a in got] == [repr(a) for a in want], trial
+            for s, a in zip(samples[:2], got):
+                ref = reference_dp(model, s)
+                assert (a.k, a.perm_rank, repr(a.total)) == (ref.k, ref.perm_rank, repr(ref.total))
+
+    def test_other_solvers_are_one_call_per_sample(self, rng):
+        model, _ = random_instance(rng, m_choices=(3,), with_global=True)
+        samples = set_samples(rng, model, [3, 5, 9, 12, 7], integer=False)
+        for solver in ("greedy", "brute"):
+            got = solve_set(model, samples, solver)
+            want = [inference.SOLVERS[solver](model, s) for s in samples]
+            assert [repr(a) for a in got] == [repr(a) for a in want]
+
+    @pytest.mark.parametrize("solver", ["dp", "greedy"])
+    def test_empty_set(self, rng, solver):
+        model, _ = random_instance(rng)
+        assert solve_set(model, [], solver) == []
+
+    @pytest.mark.parametrize("samples", [[], "one"])
+    def test_unknown_solver_raises_key_error(self, rng, samples):
+        model, sample = random_instance(rng)
+        with pytest.raises(KeyError):
+            solve_set(model, [sample] if samples else [], "nope")
+
+    @pytest.mark.parametrize(
+        "order,expected",
+        [("dimension-first", DataError), ("length-first", InfeasibleError),
+         ("both-in-one", InfeasibleError)],
+    )
+    def test_first_bad_sample_raises_what_the_loop_raises(self, rng, order, expected):
+        model = Model(templates=rng.standard_normal((3, 2)), ordering_costs=np.zeros(6), coverage=1)
+        good = SequenceSample("good", 1, rng.standard_normal((9, 2)))
+        wrong_dim = SequenceSample("wide", 1, rng.standard_normal((9, 4)))
+        too_short = SequenceSample("short", 1, rng.standard_normal((2, 2)))
+        bad = {
+            "dimension-first": [wrong_dim, too_short],
+            "length-first": [too_short, wrong_dim],
+            "both-in-one": [SequenceSample("short-wide", 1, rng.standard_normal((2, 4))), wrong_dim],
+        }[order]
+        samples = [good] + bad + [good]
+        with pytest.raises(Exception) as looped:
+            [infer_dp(model, s) for s in samples]
+        assert looped.type is expected
+        with pytest.raises(expected) as batched:
+            solve_set(model, samples, "dp")
+        assert str(batched.value) == str(looped.value)
 
 
 class TestSolverScoring:

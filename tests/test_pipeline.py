@@ -8,6 +8,7 @@ from lomo import (
     DataError,
     Model,
     ModelSpec,
+    MulticlassModel,
     SequenceSample,
     TrainConfig,
     decide,
@@ -396,3 +397,25 @@ class TestPersistence:
         samples = [make_sample(rng.standard_normal((4, 2)), 1, f"q{i}") for i in range(5)]
         table = predict_table(model, samples)
         assert table.shape == (5,)
+
+    @pytest.mark.parametrize("classes", [1, 3])
+    def test_predict_table_equals_stacked_predict(self, rng, classes):
+        from math import factorial
+
+        def model(m):
+            return Model(
+                templates=rng.standard_normal((m, 3)),
+                ordering_costs=rng.standard_normal(factorial(m)),
+                global_template=rng.standard_normal(3), gamma_g=0.3, coverage=2,
+            )
+
+        scorer = model(3) if classes == 1 else MulticlassModel([4, 0, 7], [model(m) for m in (2, 3, 4)])
+        samples = [
+            make_sample(rng.standard_normal((n, 3)), 1, f"q{i}")
+            for i, n in enumerate([4, 9, 31, 4, 17, 6, 12])
+        ]
+        for solver in ("dp", "greedy"):
+            table = predict_table(scorer, samples, solver)
+            stacked = np.array([predict(scorer, s, solver) for s in samples])
+            assert table.shape == stacked.shape
+            assert table.tobytes() == stacked.tobytes()
