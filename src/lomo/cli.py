@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import math
 import os
 import sys
 import time
@@ -31,7 +31,9 @@ from .data import (
     SynthConfig,
     generate_synthetic,
     load_dataset,
+    load_json_object,
     save_manifest,
+    write_json,
     write_lseq,
 )
 from .errors import DataError, InfeasibleError, LomoError
@@ -73,10 +75,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("LOMO_SEED", "0"))
-
-
 def _add_train_flags(p: _Parser) -> None:
     p.add_argument("--model-kind", default="lomo", choices=sorted(KIND_ALIASES))
     p.add_argument("--events", type=int, default=1, metavar="M")
@@ -86,7 +84,7 @@ def _add_train_flags(p: _Parser) -> None:
     p.add_argument("--gamma-g", type=float, default=0.0)
     p.add_argument("--coverage-t", type=int, default=5)
     p.add_argument("--maxiter", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=os.environ.get("LOMO_SEED", "0"))
     p.add_argument("--pooling", choices=POOL_MODES, default="mean")
     p.add_argument("--init-scale", type=float, default=1e-4)
     p.add_argument("--solver", choices=sorted(SOLVERS), default="greedy")
@@ -101,7 +99,7 @@ def _config_from_args(args) -> TrainConfig:
         gamma_g=args.gamma_g,
         coverage_t=args.coverage_t,
         maxiter=args.maxiter,
-        seed=_default_seed() if args.seed is None else args.seed,
+        seed=args.seed,
         pooling=args.pooling,
         init_scale=args.init_scale,
     )
@@ -119,10 +117,7 @@ def _write_run_record(out_path, argv, resolved, seed, outputs, started):
         "started_unix": started,
         "finished_unix": time.time(),
     }
-    path = f"{out_path}.run.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(f"{out_path}.run.json", record)
 
 
 def cmd_train(args, argv) -> int:
@@ -196,14 +191,34 @@ def _parse_folds(spec_str, samples, fold_map, seed):
     raise DataError(f"unknown fold policy {policy!r}")
 
 
+GRID_KEYS = ("lambda1", "coverage_t", "gamma_g")
+
+
+def _load_grid(path) -> dict:
+    """A --grid file: a JSON object mapping some of GRID_KEYS to lists of
+    finite numbers, integers for coverage_t (bools are neither)."""
+    grid = load_json_object(path, "grid file")
+    for key, values in grid.items():
+        if key not in GRID_KEYS:
+            raise DataError(f"grid file {path} has unknown key {key!r}; expected {GRID_KEYS}")
+        floats = key != "coverage_t"
+        if not isinstance(values, list) or not all(
+            type(v) is int or (floats and type(v) is float and math.isfinite(v)) for v in values
+        ):
+            what = "finite numbers" if floats else "integers"
+            raise DataError(f"grid file {path}: {key} must be a list of {what}, got {values!r}")
+    return grid
+
+
 def cmd_eval(args, argv) -> int:
     started = time.time()
-    samples, fold_map = load_dataset(args.manifest)
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
+    if not metrics:
+        raise ValueError("--metrics must name at least one metric")
     for m in metrics:
         if m not in METRIC_NAMES:
             raise DataError(f"unknown metric {m!r}; expected subset of {METRIC_NAMES}")
-    seed = _default_seed() if args.seed is None else args.seed
+    samples, fold_map = load_dataset(args.manifest)
 
     if args.fuse:
         labels = np.array([s.label for s in samples])
@@ -227,36 +242,24 @@ def cmd_eval(args, argv) -> int:
             "metrics": values,
             "zscore_statistics": "computed over the evaluated sample set",
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        _write_run_record(args.out, argv, payload["mode"], seed, [args.out], started)
+        write_json(args.out, payload)
+        _write_run_record(args.out, argv, payload["mode"], args.seed, [args.out], started)
         for name, value in values.items():
             print(f"{name}: {value:.4f}")
         return 0
 
-    args.seed = seed
-    config = _config_from_args(args)
-    spec = ModelSpec(args.model_kind, config)
-    folds = _parse_folds(args.folds, samples, fold_map, seed)
+    spec = ModelSpec(args.model_kind, _config_from_args(args))
+    folds = _parse_folds(args.folds, samples, fold_map, args.seed)
+    resolved = asdict(spec.resolved())
 
     if args.grid:
-        with open(args.grid, "r", encoding="utf-8") as fh:
-            grid = json.load(fh)
+        grid = _load_grid(args.grid)
         result = grid_search(
             samples, folds, spec, grid,
             metric=metrics[0], solver=args.solver,
         )
-        payload = {
-            "mode": "grid",
-            "metric": result.metric,
-            "rows": result.rows,
-            "best": result.best,
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        _write_run_record(args.out, argv, asdict(spec.resolved()), seed, [args.out], started)
+        write_json(args.out, {"mode": "grid", **asdict(result)})
+        _write_run_record(args.out, argv, resolved, args.seed, [args.out], started)
         b = result.best
         print(
             f"grid best: lambda1={b['lambda1']} coverage_t={b['coverage_t']} "
@@ -265,10 +268,8 @@ def cmd_eval(args, argv) -> int:
         return 0
 
     report = cross_validate(samples, folds, spec, metrics, solver=args.solver)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
-    _write_run_record(args.out, argv, asdict(spec.resolved()), seed, [args.out], started)
+    write_json(args.out, asdict(report))
+    _write_run_record(args.out, argv, resolved, args.seed, [args.out], started)
     for name, value in report.aggregate.items():
         print(f"{name}: {value:.4f} over {report.n_folds} folds")
     return 0
@@ -286,7 +287,7 @@ def cmd_synth(args, argv) -> int:
         noise_sigma=args.noise_sigma,
         neg_mode=args.neg_mode,
         min_gap=args.min_gap,
-        seed=_default_seed() if args.seed is None else args.seed,
+        seed=args.seed,
     )
     train_set, test_set = generate_synthetic(config)
     outputs = []
@@ -323,13 +324,12 @@ def cmd_infer_bench(args, argv) -> int:
     for s in solvers:
         if s not in SOLVERS:
             raise DataError(f"unknown solver {s!r}")
-    seed = _default_seed() if args.seed is None else args.seed
     rows = []
     cell_index = 0
     for n in n_list:
         for m in m_list:
             for t in t_list:
-                rng = np.random.default_rng(derive_seed(seed, cell_index))
+                rng = np.random.default_rng(derive_seed(args.seed, cell_index))
                 cell_index += 1
                 instances = []
                 for _ in range(args.instances):
@@ -400,7 +400,7 @@ def cmd_infer_bench(args, argv) -> int:
         )
         writer.writeheader()
         writer.writerows(rows)
-    _write_run_record(args.out, argv, {"cells": len(rows)}, seed, [args.out], started)
+    _write_run_record(args.out, argv, {"cells": len(rows)}, args.seed, [args.out], started)
     print(f"wrote {len(rows)} bench rows -> {args.out}")
     return 0
 
@@ -451,7 +451,7 @@ def build_parser() -> _Parser:
     p.add_argument("--neg-mode", choices=("shuffled_order", "events_absent"),
                    default="shuffled_order")
     p.add_argument("--min-gap", type=int, default=0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=os.environ.get("LOMO_SEED", "0"))
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("infer-bench", help="compare solver runtimes and score gaps")
@@ -461,7 +461,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=int, default=1000)
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--solvers", default="greedy,dp,brute")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=os.environ.get("LOMO_SEED", "0"))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_infer_bench)
 

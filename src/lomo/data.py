@@ -160,9 +160,29 @@ def save_manifest(path, manifest: Manifest) -> None:
             for e in manifest.entries
         ],
     }
+    write_json(path, payload)
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as sorted, 2-space-indented JSON plus a newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def load_json_object(path, what: str) -> dict:
+    """Parse a file holding one JSON object; any failure is a DataError
+    that names ``what`` and the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except FileNotFoundError:
+        raise DataError(f"{what} {path} does not exist")
+    except (ValueError, RecursionError) as exc:  # malformed JSON or not UTF-8
+        raise DataError(f"{what} {path} is not valid JSON: {exc}")
+    if not isinstance(payload, dict):
+        raise DataError(f"{what} {path} must hold a JSON object")
+    return payload
 
 
 def _json_int(value, what: str) -> int:
@@ -172,15 +192,7 @@ def _json_int(value, what: str) -> int:
 
 
 def load_manifest(path) -> Manifest:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"manifest {path} does not exist")
-    except (ValueError, RecursionError) as exc:  # malformed JSON or not UTF-8
-        raise DataError(f"manifest {path} is not valid JSON: {exc}")
-    if not isinstance(payload, dict):
-        raise DataError(f"manifest {path} must hold a JSON object")
+    payload = load_json_object(path, "manifest")
     for key in ("version", "dim", "entries"):
         if key not in payload:
             raise DataError(f"manifest {path} misses required key {key!r}")

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
-from itertools import product
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .core import SequenceSample, is_binary
 from .errors import DataError
-from .pipeline import ModelSpec, decide, late_fusion, predict_table, train_multiclass, train_spec
+from .pipeline import ModelSpec, decide, predict_table, train_multiclass, train_spec
 
 METRIC_NAMES = ("acc", "avgclassacc", "map", "auc", "eer")
 
@@ -172,9 +171,6 @@ class FoldSpec:
     n_folds: int
     assignment: Dict[str, int]
 
-    def ids_in_fold(self, fold: int) -> List[str]:
-        return [sid for sid, f in self.assignment.items() if f == fold]
-
 
 def _unique_ids(samples: Sequence[SequenceSample]) -> List[str]:
     ids = [s.id for s in samples]
@@ -270,19 +266,7 @@ class EvalReport:
     extra: Dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "name": self.name,
-            "metrics": self.metrics,
-            "solver": self.solver,
-            "fold_policy": self.fold_policy,
-            "n_folds": self.n_folds,
-            "per_fold": self.per_fold,
-            "aggregate": self.aggregate,
-            "per_class": self.per_class,
-            "config_fingerprint": self.config_fingerprint,
-            "extra": self.extra,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def config_fingerprint(payload) -> str:
@@ -339,7 +323,9 @@ def cross_validate(
     binary = is_binary(labels_all)
     class_labels = None if binary else sorted(np.unique(labels_all).tolist())
 
-    def run_fold(fold: int) -> Dict:
+    per_fold: List[Dict] = []
+    decisions, eval_labels = [], []
+    for fold in range(folds.n_folds):
         train_set = [s for s in dataset if folds.assignment[s.id] != fold]
         eval_set = [s for s in dataset if folds.assignment[s.id] == fold]
         if not eval_set:
@@ -353,21 +339,16 @@ def cross_validate(
             model = train_multiclass(train_set, spec, class_labels=class_labels, solver=solver)
         scores = predict_table(model, eval_set, solver)
         y = np.array([s.label for s in eval_set])
-        return {
-            "fold": fold,
-            "n_eval": len(eval_set),
-            "metrics": _score_metrics(metrics, scores, y, class_labels),
-            "decisions": decide(scores, class_labels),
-            "labels": y,
-        }
+        per_fold.append(
+            {"fold": fold, "n_eval": len(eval_set),
+             "metrics": _score_metrics(metrics, scores, y, class_labels)}
+        )
+        decisions.append(decide(scores, class_labels))
+        eval_labels.append(y)
 
-    fold_results = [run_fold(f) for f in range(folds.n_folds)]
-
-    aggregate = {
-        m: float(np.mean([fr["metrics"][m] for fr in fold_results])) for m in metrics
-    }
-    all_decisions = np.concatenate([fr["decisions"] for fr in fold_results])
-    all_labels = np.concatenate([fr["labels"] for fr in fold_results])
+    aggregate = {m: float(np.mean([row["metrics"][m] for row in per_fold])) for m in metrics}
+    all_decisions = np.concatenate(decisions)
+    all_labels = np.concatenate(eval_labels)
     per_class = {}
     for cls in np.unique(all_labels):
         mask = all_labels == cls
@@ -391,10 +372,7 @@ def cross_validate(
         solver=solver,
         fold_policy=folds.policy,
         n_folds=folds.n_folds,
-        per_fold=[
-            {"fold": fr["fold"], "n_eval": fr["n_eval"], "metrics": fr["metrics"]}
-            for fr in fold_results
-        ],
+        per_fold=per_fold,
         aggregate=aggregate,
         per_class=per_class,
         config_fingerprint=fingerprint,
@@ -411,7 +389,6 @@ class GridSearchResult:
     metric: str
     rows: List[Dict]
     best: Dict
-    best_spec: ModelSpec
 
 
 def grid_search(
@@ -437,86 +414,31 @@ def grid_search(
         raise ValueError("grid must contain at least one lambda1 and one coverage_t value")
 
     cache: Dict[tuple, float] = {}
-
-    def evaluate(lam: float, cov: int, gam: float) -> float:
-        key = (lam, cov, gam)
-        if key not in cache:
-            cfg = replace(base, lambda1=lam, coverage_t=int(cov), gamma_g=gam)
-            candidate = ModelSpec(spec.kind, cfg)
-            report = cross_validate(dataset, folds, candidate, (metric,), solver)
-            cache[key] = report.aggregate[metric]
-        return cache[key]
-
     rows: List[Dict] = []
-    best_lam, best_cov, best_score = None, None, -np.inf
-    for lam in lambdas:
-        for cov in coverages:
-            score = evaluate(lam, cov, 0.0)
+
+    def sweep(stage: int, points) -> tuple:
+        """One row per (lambda1, coverage_t, gamma_g) point, in order; returns
+        the first point with the highest score, and that score."""
+        best, best_score = None, -np.inf
+        for point in points:
+            lam, cov, gam = point
+            if point not in cache:
+                cfg = replace(base, lambda1=lam, coverage_t=int(cov), gamma_g=gam)
+                candidate = ModelSpec(spec.kind, cfg)
+                report = cross_validate(dataset, folds, candidate, (metric,), solver)
+                cache[point] = report.aggregate[metric]
+            score = cache[point]
             rows.append(
-                {"stage": 1, "lambda1": lam, "coverage_t": cov, "gamma_g": 0.0, "score": score}
+                {"stage": stage, "lambda1": lam, "coverage_t": cov, "gamma_g": gam, "score": score}
             )
             if score > best_score:
-                best_lam, best_cov, best_score = lam, cov, score
+                best, best_score = point, score
+        return best, best_score
 
-    best_gamma = 0.0
-    final_score = best_score
+    best, score = sweep(1, [(lam, cov, 0.0) for lam in lambdas for cov in coverages])
     if gammas:
-        final_score = -np.inf
-        for gam in gammas:
-            score = evaluate(best_lam, best_cov, gam)
-            rows.append(
-                {
-                    "stage": 2,
-                    "lambda1": best_lam,
-                    "coverage_t": best_cov,
-                    "gamma_g": gam,
-                    "score": score,
-                }
-            )
-            if score > final_score:
-                best_gamma, final_score = gam, score
-
-    best_cfg = replace(base, lambda1=best_lam, coverage_t=int(best_cov), gamma_g=best_gamma)
-    best = {
-        "lambda1": best_lam,
-        "coverage_t": best_cov,
-        "gamma_g": best_gamma,
-        "score": final_score,
-    }
+        best, score = sweep(2, [best[:2] + (gam,) for gam in gammas])
+    lam, cov, gam = best
     return GridSearchResult(
-        metric=metric, rows=rows, best=best, best_spec=ModelSpec(spec.kind, best_cfg)
+        metric, rows, {"lambda1": lam, "coverage_t": cov, "gamma_g": gam, "score": score}
     )
-
-
-def search_fusion_weights(
-    score_tables: Sequence[np.ndarray],
-    labels,
-    metric: str = "auc",
-    weight_grid: Sequence[float] = (0.0, 0.5, 1.0),
-    mode: str = "zscore_weighted",
-    class_labels: Optional[Sequence[int]] = None,
-):
-    """Coarse grid search over per-table fusion weights.
-
-    Tries every combination from ``weight_grid`` (all-zero skipped) and
-    keeps the best metric value; ties go to the lexicographically smallest
-    weight vector. Returns (weights, fused_table, score).
-    """
-    if not score_tables:
-        raise ValueError("need at least one score table")
-    labels = np.asarray(labels).reshape(-1)
-    if np.ndim(score_tables[0]) == 1:
-        class_labels = None
-    else:
-        class_labels = list(class_labels or sorted(np.unique(labels).tolist()))
-    best = None
-    for weights in product(sorted(weight_grid), repeat=len(score_tables)):
-        if not any(w != 0.0 for w in weights):
-            continue
-        fused = late_fusion(score_tables, mode=mode, weights=weights)
-        score = _score_metrics((metric,), fused, labels, class_labels)[metric]
-        if best is None or score > best[2]:
-            best = (weights, fused, score)
-    if best is None:
-        raise ValueError("weight grid admits no non-zero combination")
-    return best

@@ -396,6 +396,72 @@ class TestEval:
         assert "binary manifest (labels -1/+1), got labels [0, 1, 2]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '{"lambda1": "ab"}',
+            '{"lambda1": [1e-5,',
+            '{"coverage_t": [1.5]}',
+            '{"coverage_t": [1.0]}',
+            '{"lambda_1": [1e-5]}',
+            '{"lambda1": [true]}',
+            '{"gamma_g": [NaN]}',
+            '{"gamma_g": 0.5}',
+        ],
+    )
+    def test_malformed_grid_file_exits_2_before_training(
+        self, synth_dir, tmp_path, capsys, monkeypatch, text
+    ):
+        import lomo.cli
+
+        searched = []
+        monkeypatch.setattr(lomo.cli, "grid_search", lambda *a, **k: searched.append(a))
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(text)
+        out = tmp_path / "grid_report.json"
+        rc = main([
+            "eval", "--manifest", str(synth_dir / "train.json"), "--model-kind", "mil",
+            "--maxiter", "20", "--grid", str(grid_file), "--out", str(out),
+        ])
+        assert rc == 2
+        assert "data error: grid file" in capsys.readouterr().err
+        assert searched == []
+        assert not out.exists() and not (tmp_path / "grid_report.json.run.json").exists()
+
+    @pytest.mark.parametrize(
+        "mode",
+        [[], ["--grid", "missing-grid.json"], ["--fuse", "missing.bin"]],
+        ids=["cv", "grid", "fuse"],
+    )
+    @pytest.mark.parametrize("metrics", [",", " , "])
+    def test_metrics_naming_nothing_is_a_usage_error(self, tmp_path, capsys, mode, metrics):
+        # the manifest does not exist either: the usage error comes first
+        out = tmp_path / "report.json"
+        rc = main([
+            "eval", "--manifest", str(tmp_path / "missing.json"), "--metrics", metrics,
+            *mode, "--out", str(out),
+        ])
+        assert rc == 1
+        assert "--metrics must name at least one metric" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cv_file_is_the_library_report(self, synth_dir, tmp_path):
+        from lomo import ModelSpec, TrainConfig, cross_validate, load_dataset, make_folds
+
+        out = tmp_path / "report.json"
+        assert main([
+            "eval", "--manifest", str(synth_dir / "train.json"), "--model-kind", "lomo",
+            "--events", "2", "--coverage-t", "1", "--maxiter", "80", "--seed", "4",
+            "--metrics", "acc,avgclassacc", "--folds", "random:3", "--solver", "dp",
+            "--out", str(out),
+        ]) == 0
+        samples, _ = load_dataset(synth_dir / "train.json")
+        folds = make_folds(samples, "random_k_fold", k=3, seed=4)
+        spec = ModelSpec("lomo", TrainConfig(M=2, coverage_t=1, maxiter=80, seed=4))
+        report = cross_validate(samples, folds, spec, ("acc", "avgclassacc"), solver="dp")
+        assert out.read_text(encoding="utf-8") == report.to_json() + "\n"
+
 
 class TestInferBench:
     def test_csv_rows_and_gap_nonnegative(self, tmp_path):

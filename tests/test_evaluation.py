@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from lomo import (
     make_folds,
     mean_average_precision,
     roc_eer_rate,
-    search_fusion_weights,
 )
 
 
@@ -202,7 +202,7 @@ class TestMakeFolds:
         folds = make_folds(samples, "random_k_fold", k=4, seed=3)
         assert folds.n_folds == 4
         assert sorted(folds.assignment) == sorted(s.id for s in samples)
-        sizes = [len(folds.ids_in_fold(f)) for f in range(4)]
+        sizes = [list(folds.assignment.values()).count(f) for f in range(4)]
         assert sum(sizes) == 20 and max(sizes) - min(sizes) <= 1
 
     def test_same_seed_same_folds(self, rng):
@@ -410,37 +410,32 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search(data, folds, spec, {"lambda1": [], "coverage_t": [0]})
 
+    def test_ties_take_smallest_values_and_cache_repeats(self, monkeypatch):
+        """Every point scores the same, so the documented tie rule picks the
+        smallest lambda1, coverage_t and gamma_g; rows follow the ascending
+        sweeps; the stage-1 winner at gamma_g 0 is not trained twice."""
+        import lomo.evaluation
 
-class TestFusionWeightSearch:
-    def test_prefers_informative_table(self, rng):
-        labels = np.array([1, 1, 1, -1, -1, -1])
-        good = np.array([3.0, 2.5, 2.0, -1.0, -2.0, -3.0])
-        noise = rng.standard_normal(6)
-        weights, fused, score = search_fusion_weights(
-            [good, noise], labels, metric="auc", weight_grid=(0.0, 0.5, 1.0)
-        )
-        assert weights[0] > 0.0
-        assert score == 1.0
+        evaluated = []
 
-    def test_ties_take_smallest_weights(self):
-        labels = np.array([1, -1])
-        table = np.array([1.0, -1.0])
-        weights, _, score = search_fusion_weights(
-            [table, table], labels, metric="auc", weight_grid=(0.0, 0.5, 1.0)
-        )
-        assert score == 1.0
-        assert weights == (0.0, 0.5)
+        def constant_cv(dataset, folds, spec, metrics, solver):
+            cfg = spec.train_config
+            evaluated.append((cfg.lambda1, cfg.coverage_t, cfg.gamma_g))
+            return SimpleNamespace(aggregate={metrics[0]: 0.5})
 
-    @pytest.mark.parametrize("metric", ["acc", "map"])
-    @pytest.mark.parametrize("class_labels", [None, [2, 5, 7]])
-    def test_multiclass_tables_map_columns_to_class_labels(self, metric, class_labels):
-        labels = np.array([2, 5, 7, 2, 5, 7])
-        good = (labels[:, None] == np.array([2, 5, 7])[None, :]).astype(float)
-        wrong = np.roll(good, 1, axis=1)  # every row votes for another class
-        weights, fused, score = search_fusion_weights(
-            [good, wrong], labels, metric=metric, weight_grid=(0.0, 1.0),
-            class_labels=class_labels,
+        monkeypatch.setattr(lomo.evaluation, "cross_validate", constant_cv)
+        spec = ModelSpec("ALOMo", TrainConfig(M=1))
+        result = grid_search(
+            [], None, spec,
+            {"lambda1": [1e-3, 1e-5], "coverage_t": [2, 0], "gamma_g": [1.0, 0.0, 0.5]},
+            metric="auc",
         )
-        assert fused.shape == (6, 3)
-        assert weights == (1.0, 0.0)
-        assert score == 1.0
+        assert result.best == {"lambda1": 1e-5, "coverage_t": 0, "gamma_g": 0.0, "score": 0.5}
+        stage1 = [(1, lam, cov, 0.0) for lam in (1e-5, 1e-3) for cov in (0, 2)]
+        stage2 = [(2, 1e-5, 0, gam) for gam in (0.0, 0.5, 1.0)]
+        assert [
+            (r["stage"], r["lambda1"], r["coverage_t"], r["gamma_g"]) for r in result.rows
+        ] == stage1 + stage2
+        assert all(r["score"] == 0.5 for r in result.rows)
+        assert evaluated == [point[1:] for point in stage1] + [(1e-5, 0, 0.5), (1e-5, 0, 1.0)]
+
