@@ -75,6 +75,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+class _StoreGiven(argparse.Action):
+    """A plain store action that also adds its dest to ``namespace.given``,
+    so a command can tell a flag given at its default from one left out."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.dest}
+
+
+# `lomo eval --fuse` scores saved models: these eval flags would do nothing
+FUSE_UNUSED = (
+    "grid", "folds", "model_kind", "events", "eta", "lambda1", "lambda2", "gamma_g",
+    "coverage_t", "maxiter", "pooling", "init_scale",
+)
+
+
 def _add_train_flags(p: _Parser) -> None:
     p.add_argument("--model-kind", default="lomo", choices=sorted(KIND_ALIASES))
     p.add_argument("--events", type=int, default=1, metavar="M")
@@ -212,6 +228,10 @@ def _load_grid(path) -> dict:
 
 def cmd_eval(args, argv) -> int:
     started = time.time()
+    if args.fuse:
+        unused = [f"--{d.replace('_', '-')}" for d in FUSE_UNUSED if d in args.given]
+        if unused:
+            raise ValueError(f"--fuse scores saved models and does not use {', '.join(unused)}")
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     if not metrics:
         raise ValueError("--metrics must name at least one metric")
@@ -428,6 +448,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="cross-validate, grid-search, or fuse models")
+    p.register("action", None, _StoreGiven)
     _add_train_flags(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--metrics", default="acc")
@@ -437,7 +458,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fusion", choices=("equal", "zscore"), default="equal")
     p.add_argument("--weights", default=None, help="comma list of fusion weights")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, given=frozenset())
 
     p = sub.add_parser("synth", help="generate planted-order synthetic data")
     p.add_argument("--out-dir", required=True)

@@ -7,14 +7,16 @@ LSEQ is a line-oriented UTF-8 text format:
     <d numbers> ... N data lines ...
     seq ...
 
-Blank lines are ignored and ``#`` starts a comment line. Values are written
-with shortest round-trip decimal representation, so write/read is lossless
-for doubles. A manifest is a JSON file listing one sequence file per entry
-together with its label, optional group, and optional fold index.
+Blank lines are ignored and ``#`` starts a comment line. A value is any
+finite number Python's ``float()`` reads. Values are written with shortest
+round-trip decimal representation, so write/read is lossless for doubles.
+A manifest is a JSON file listing one sequence file per entry together with
+its label, optional group, and optional fold index.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import warnings
@@ -36,17 +38,33 @@ def _token_error(path, lineno, message):
     return DataError(f"{path}:{lineno}: {message}")
 
 
+class _Fallback(Exception):
+    """A sequence block the fast reader cannot vouch for."""
+
+
 def read_lseq(path) -> List[SequenceSample]:
     """Parse every sequence in an LSEQ file; errors carry line numbers.
 
-    One pass over the file parses each row as it arrives, so memory follows
+    Each sequence's N data lines first go through numpy's C text reader in
+    one call. A block it cannot read as exactly N finite rows of d values
+    (a bad token, a wrong count, a non-finite value, or syntax only
+    ``float()`` accepts such as ``1_0``) restarts the file from its first
+    line under the per-line parser, the one source of every error message
+    and line number. Either pass streams the file once, so memory follows
     the text present and nothing is sized from the N or d a header declares.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return _parse_lseq(path, _content_lines(fh))
+        try:
+            return _read_lseq(path, fast=True)
+        except _Fallback:
+            return _read_lseq(path, fast=False)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}")
+
+
+def _read_lseq(path, fast: bool) -> List[SequenceSample]:
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse_lseq(path, _content_lines(fh), fast)
 
 
 def _content_lines(fh):
@@ -58,7 +76,7 @@ def _content_lines(fh):
             yield lineno, text
 
 
-def _parse_lseq(path, lines) -> List[SequenceSample]:
+def _parse_lseq(path, lines, fast: bool) -> List[SequenceSample]:
     idx, text = next(lines, (0, ""))
     tokens = text.split()
     if len(tokens) != 3 or tokens[0] != "lseq":
@@ -85,20 +103,24 @@ def _parse_lseq(path, lines) -> List[SequenceSample]:
             raise _token_error(path, seq_idx, f"bad label or length in {tokens!r}")
         if n < 1:
             raise _token_error(path, seq_idx, f"sequence length must be >= 1, got {n}")
-        rows = []
-        for _, (idx, text) in zip(range(n), lines):  # range first: no line read past N
-            tokens = text.split()
-            if len(tokens) != dim:
-                raise _token_error(
-                    path, idx, f"expected {dim} values, got {len(tokens)} (sequence {sid!r})"
-                )
-            try:
-                row = np.array([float(t) for t in tokens])
-            except ValueError:
-                raise _token_error(path, idx, f"unparseable number in {tokens!r}")
-            if not np.isfinite(row).all():
-                raise _token_error(path, idx, "non-finite value")
-            rows.append(row)
+        block = zip(range(n), lines)  # range first: no line read past N
+        if fast:
+            rows = _loadtxt_block(block, n, dim)
+        else:
+            rows = []
+            for _, (idx, text) in block:
+                tokens = text.split()
+                if len(tokens) != dim:
+                    raise _token_error(
+                        path, idx, f"expected {dim} values, got {len(tokens)} (sequence {sid!r})"
+                    )
+                try:
+                    row = np.array([float(t) for t in tokens])
+                except ValueError:
+                    raise _token_error(path, idx, f"unparseable number in {tokens!r}")
+                if not np.isfinite(row).all():
+                    raise _token_error(path, idx, "non-finite value")
+                rows.append(row)
         if len(rows) < n:
             raise _token_error(
                 path, seq_idx,
@@ -108,6 +130,29 @@ def _parse_lseq(path, lines) -> List[SequenceSample]:
         group = None if group_s == "-" else group_s
         samples.append(SequenceSample(id=sid, label=label, frames=rows, group=group))
     return samples
+
+
+def _loadtxt_block(block, n: int, dim: int) -> np.ndarray:
+    """The (n, dim) frames of one sequence's data lines, read by numpy's C
+    parser in one call; raises _Fallback unless that is exactly what the
+    per-line parser would return.
+
+    ``comments=None`` keeps a mid-line ``#`` an error, as it is for
+    ``float()``. The first line is taken before the call because loadtxt
+    warns on an empty input. Any failure, a decode error from the file
+    included, falls back, and the per-line parser then reports it.
+    """
+    texts = (text for _, (_, text) in block)
+    try:
+        first = next(texts)
+        frames = np.loadtxt(
+            itertools.chain((first,), texts), dtype=np.float64, comments=None, ndmin=2
+        )
+    except Exception:
+        raise _Fallback
+    if frames.shape != (n, dim) or not np.isfinite(frames).all():
+        raise _Fallback
+    return frames
 
 
 def _check_token(value: str, what: str) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -302,6 +303,25 @@ def _score_metrics(
     return out
 
 
+def _check_fold_classes(fold: int, eval_set, metrics: Sequence[str], binary: bool) -> None:
+    """Refuse a held-out fold whose classes leave a requested metric
+    undefined: ``auc`` and ``eer`` need two classes, binary ``map`` a positive."""
+    counts = Counter(s.label for s in eval_set)
+    if binary:
+        counts = {-1: counts[-1], 1: counts[1]}
+    present = sum(n > 0 for n in counts.values())
+    unscorable = [
+        m for m in metrics
+        if (m in ("auc", "eer") and present < 2) or (m == "map" and binary and not counts[1])
+    ]
+    if unscorable:
+        raise DataError(
+            f"fold {fold} cannot be scored on {', '.join(unscorable)}: its evaluation "
+            f"samples have class counts {dict(sorted(counts.items()))}; auc and eer "
+            f"need two classes, binary map a positive"
+        )
+
+
 def cross_validate(
     dataset: Sequence[SequenceSample],
     folds: FoldSpec,
@@ -323,8 +343,7 @@ def cross_validate(
     binary = is_binary(labels_all)
     class_labels = None if binary else sorted(np.unique(labels_all).tolist())
 
-    per_fold: List[Dict] = []
-    decisions, eval_labels = [], []
+    splits = []  # every fold is checked before any fold trains
     for fold in range(folds.n_folds):
         train_set = [s for s in dataset if folds.assignment[s.id] != fold]
         eval_set = [s for s in dataset if folds.assignment[s.id] == fold]
@@ -333,6 +352,12 @@ def cross_validate(
         if not train_set:
             raise DataError(f"fold {fold} has no training samples")
         assert not ({s.id for s in train_set} & {s.id for s in eval_set})
+        _check_fold_classes(fold, eval_set, metrics, binary)
+        splits.append((train_set, eval_set))
+
+    per_fold: List[Dict] = []
+    decisions, eval_labels = [], []
+    for fold, (train_set, eval_set) in enumerate(splits):
         if binary:
             model = train_spec(train_set, spec, solver=solver, trace_every=0).model
         else:

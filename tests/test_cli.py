@@ -446,6 +446,62 @@ class TestEval:
         assert "--metrics must name at least one metric" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--grid", "nonexistent.json"], "--grid"),
+            (["--folds", "random:5"], "--folds"),
+            (["--events", "1", "--model-kind", "mil"], "--model-kind, --events"),
+            (["--maxiter", "10", "--lambda1", "1e-5", "--solver", "dp"], "--lambda1, --maxiter"),
+            (["--gri", "x.json", "--seed", "3"], "--grid"),
+        ],
+        ids=["grid", "folds-at-default", "training-flags", "solver-allowed", "abbreviated"],
+    )
+    def test_fuse_with_flags_it_cannot_use_is_a_usage_error(self, tmp_path, capsys, extra, named):
+        # neither the manifest nor the model exists: the usage error comes first
+        out = tmp_path / "fused.json"
+        rc = main([
+            "eval", "--manifest", str(tmp_path / "missing.json"), "--fuse", "missing.bin",
+            *extra, "--out", str(out),
+        ])
+        assert rc == 1
+        assert f"--fuse scores saved models and does not use {named}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fuse_takes_solver_and_seed(self, synth_dir, tmp_path):
+        model = tmp_path / "m.bin"
+        assert main([
+            "train", "--manifest", str(synth_dir / "train.json"), "--model-kind", "mil",
+            "--maxiter", "50", "--seed", "6", "--out", str(model),
+        ]) == 0
+        out = tmp_path / "fused.json"
+        assert main([
+            "eval", "--manifest", str(synth_dir / "test.json"), "--fuse", str(model),
+            "--solver", "dp", "--seed", "3", "--metrics", "acc", "--out", str(out),
+        ]) == 0
+        assert out.exists()
+
+    def test_one_class_held_out_fold_exits_2(self, tmp_path, rng, capsys):
+        from lomo import Manifest, ManifestEntry, SequenceSample, save_manifest, write_lseq
+
+        entries = []
+        for i in range(8):
+            sid, label = f"f{i}", 1 if i % 2 else -1
+            frames = rng.standard_normal((4, 3))
+            write_lseq(tmp_path / f"{sid}.lseq", [SequenceSample(sid, label, frames)])
+            # fold 1 holds two negatives only
+            entries.append(ManifestEntry(path=f"{sid}.lseq", label=label, fold=int(i in (0, 2))))
+        save_manifest(tmp_path / "m.json", Manifest(1, 3, entries))
+        out = tmp_path / "report.json"
+        rc = main([
+            "eval", "--manifest", str(tmp_path / "m.json"), "--model-kind", "mil",
+            "--maxiter", "20", "--folds", "manifest", "--metrics", "acc,auc", "--out", str(out),
+        ])
+        assert rc == 2
+        assert ("data error: fold 1 cannot be scored on auc: its evaluation samples have "
+                "class counts {-1: 2, 1: 0}") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cv_file_is_the_library_report(self, synth_dir, tmp_path):
         from lomo import ModelSpec, TrainConfig, cross_validate, load_dataset, make_folds
 

@@ -1,5 +1,8 @@
 import json
+import re
 import time
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +23,17 @@ from lomo import (
     save_manifest,
     write_lseq,
 )
+
+# The LSEQ reader must leave no warning behind, numpy's included. The one
+# exception is raised outside the code under test: to report a failing
+# example, hypothesis imports libcst, whose mypy_extensions import warns,
+# and as an error that would abort the whole pytest session.
+pytestmark = [
+    pytest.mark.filterwarnings("error"),
+    pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+    ),
+]
 
 
 def _patched(blob, edits):
@@ -197,6 +211,185 @@ class TestLseqErrors:
         bad = SequenceSample("has space", 1, rng.standard_normal((2, 2)))
         with pytest.raises(DataError, match="whitespace"):
             write_lseq(tmp_path / "w.lseq", [bad])
+
+
+def _table_file(position, row=None, cut=False):
+    """Three sequences of 200 rows of three values each (about 11 KB per
+    sequence, so a late row sits past the reader's first 8 KB chunk). The
+    sequence at ``position`` (0, 1 or 2) gets ``row`` as its last data line,
+    or with ``cut`` the text ends after its ``seq`` line. Returns the text
+    and the line number of that data line (of the ``seq`` line with ``cut``)."""
+    rng = np.random.default_rng(position)
+    lines = ["lseq 1 3"]
+    target = None
+    for k, sid in enumerate("abc"):
+        lines.append(f"seq {sid} {1 if k % 2 == 0 else -1} g{k} 200")
+        if k == position and cut:
+            return "\n".join(lines) + "\n", len(lines)
+        for values in rng.standard_normal((200, 3)):
+            lines.append(" ".join(repr(float(v)) for v in values))
+        if k == position:
+            lines[-1] = row
+            target = len(lines)
+    return "\n".join(lines) + "\n", target
+
+
+_POSITIONS = pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+
+
+class TestLseqErrorTable:
+    """The per-line parser's message and line for each kind of bad block,
+    wherever the block sits in a multi-sequence file."""
+
+    @_POSITIONS
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1.0 2.0", "expected 3 values, got 2 (sequence {sid!r})"),
+            ("1.0 2.0 3.0 4.0", "expected 3 values, got 4 (sequence {sid!r})"),
+            ("1.0 x 2.0", "unparseable number in ['1.0', 'x', '2.0']"),
+            ("1.0 2.0 nan", "non-finite value"),
+            ("-inf 2.0 3.0", "non-finite value"),
+            ("1.0 2.0 3.0 # note", "expected 3 values, got 5 (sequence {sid!r})"),
+            ("1.0 2.0 #3.0", "unparseable number in ['1.0', '2.0', '#3.0']"),
+        ],
+        ids=["short-row", "long-row", "bad-token", "nan", "inf", "mid-line-comment",
+             "comment-token"],
+    )
+    def test_bad_row(self, tmp_path, position, row, message):
+        text, line = _table_file(position, row)
+        path = tmp_path / "t.lseq"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            read_lseq(path)
+        sid = "abc"[position]
+        assert str(info.value) == f"{path}:{line}: " + message.format(sid=sid)
+
+    @_POSITIONS
+    def test_empty_block_at_end_of_file(self, tmp_path, position):
+        text, line = _table_file(position, cut=True)
+        path = tmp_path / "t.lseq"
+        path.write_text(text, encoding="utf-8")
+        # numpy warns on an empty input; "always" records what "error" would hide
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(DataError) as info:
+            warnings.simplefilter("always")
+            read_lseq(path)
+        assert caught == []
+        sid = "abc"[position]
+        assert str(info.value) == (
+            f"{path}:{line}: unexpected end of file: sequence {sid!r} declares 200 frames, "
+            f"the file ended after 0"
+        )
+
+    @_POSITIONS
+    def test_invalid_utf8_in_a_data_row(self, tmp_path, position):
+        text, _ = _table_file(position, "1.0 2.0 3.0")
+        blob = text.encode("utf-8").replace(b"1.0 2.0 3.0", b"1.0 \xff 3.0")
+        path = tmp_path / "t.lseq"
+        path.write_bytes(blob)
+        with pytest.raises(DataError) as info:
+            read_lseq(path)
+        assert re.fullmatch(
+            rf"{re.escape(str(path))}: not UTF-8 text: 'utf-8' codec can't decode byte "
+            r"0xff in position \d+: invalid start byte",
+            str(info.value),
+        )
+
+    @_POSITIONS
+    def test_float_only_syntax_keeps_its_values(self, tmp_path, position):
+        # float() reads underscores and non-ASCII digits; numpy's reader does not
+        text, _ = _table_file(position, "1_0 \u0663 -2_5.0_1")
+        path = tmp_path / "t.lseq"
+        path.write_text(text, encoding="utf-8")
+        loaded = read_lseq(path)
+        assert [s.id for s in loaded] == ["a", "b", "c"]
+        assert loaded[position].frames[-1].tolist() == [10.0, 3.0, -25.01]
+        written = tmp_path / "w.lseq"
+        write_lseq(written, loaded)
+        assert all(
+            np.array_equal(a.frames, b.frames) for a, b in zip(loaded, read_lseq(written))
+        )
+
+
+def _exact_read_lseq(path):
+    """read_lseq with the fast block reader switched off."""
+    def refuse(*args):
+        raise lomo.data._Fallback
+
+    with mock.patch.object(lomo.data, "_loadtxt_block", refuse):
+        return read_lseq(path)
+
+
+def _outcome(read, path):
+    try:
+        return [(s.id, s.label, s.group, s.frames.shape, s.frames.tobytes()) for s in read(path)]
+    except DataError as exc:
+        return str(exc)
+
+
+_SEPARATORS = st.sampled_from(
+    [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u2028", "\u3000"]
+)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_TOKENS = st.one_of(
+    _FINITE.map(repr), _FINITE.map(repr), _FINITE.map(repr),
+    _FINITE.map(lambda v: f"{v:.25g}"),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(
+        ["1_0", "-2_5.0_1", "\u0663", "\u0661\u0662.5", "\uff17", "+.5", "5.", "1E+05",
+         "-0.0", "0e0", "1e-400", "1e400", "nan", "-inf", "Infinity", "x", "1e", "--1",
+         "1,2", "0x10", "#", "#1", "1d5", "\x00", "\u200b", "1\u200b"]
+    ),
+)
+_FILLER = st.sampled_from(["", "# note\n", "\n", "  \n"])
+
+
+@st.composite
+def _lseq_texts(draw):
+    """LSEQ text whose blocks are mostly well formed: each row holds d
+    tokens and each block N rows unless the draw says otherwise."""
+    dim = draw(st.integers(1, 4))
+    lines = [f"lseq 1 {dim}"]
+    for k in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 4))
+        lines.append(f"seq s{k} {k % 3} - {n}")
+        for _ in range(draw(st.sampled_from([n] * 8 + [n - 1, n + 1]))):
+            width = draw(st.sampled_from([dim] * 8 + [dim - 1, dim + 1]))
+            tokens = draw(st.lists(_TOKENS, min_size=width, max_size=width))
+            seps = draw(st.lists(_SEPARATORS, min_size=width + 1, max_size=width + 1))
+            comment = draw(st.sampled_from([""] * 8 + ["# note", "#"]))
+            row = seps[0] + "".join(t + s for t, s in zip(tokens, seps[1:])) + comment
+            lines.append(draw(_FILLER) + row)
+    return "\n".join(lines) + "\n"
+
+
+class TestFastReaderMatchesExactParser:
+    @given(text=_lseq_texts(), mangle=st.integers(0, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_generated_files(self, tmp_path_factory, text, mangle):
+        """Same arrays and fields, or the same DataError, and no warning."""
+        blob = text.encode("utf-8")
+        if mangle == 1:
+            blob = blob[: len(blob) * 3 // 4]  # may end mid-row or mid-character
+        elif mangle == 2:
+            blob = blob[:-2] + b"\xff\n"
+        elif mangle == 3:  # the last block is empty
+            blob = blob[: blob.index(b"\n", blob.rindex(b"\nseq ") + 1) + 1]
+        path = tmp_path_factory.mktemp("diff") / "f.lseq"
+        path.write_bytes(blob)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fast = _outcome(read_lseq, path)
+            exact = _outcome(_exact_read_lseq, path)
+        assert fast == exact
+        assert caught == []
+
+    def test_clean_file_takes_the_fast_path(self, tmp_path, rng):
+        path = tmp_path / "rt.lseq"
+        write_lseq(path, random_samples(rng, n=4, d=3))
+        with mock.patch.object(lomo.data, "_parse_lseq", wraps=lomo.data._parse_lseq) as parse:
+            read_lseq(path)
+        assert [c.args[2] for c in parse.call_args_list] == [True]
 
 
 class TestManifest:

@@ -296,6 +296,45 @@ class TestCrossValidate:
         assert report.aggregate["acc"] == 1.0
         assert set(report.per_class) == {"0", "1", "2"}
 
+    @pytest.mark.parametrize(
+        "held_out, metrics, message",
+        [
+            (-1, ("acc", "auc"), "fold 1 cannot be scored on auc: its evaluation samples "
+                                 "have class counts {-1: 4, 1: 0}"),
+            (-1, ("map", "eer"), "fold 1 cannot be scored on map, eer: its evaluation "
+                                 "samples have class counts {-1: 4, 1: 0}"),
+            (1, ("eer", "map"), "fold 1 cannot be scored on eer: its evaluation samples "
+                                "have class counts {-1: 0, 1: 4}"),
+        ],
+        ids=["negatives-auc", "negatives-map-eer", "positives-eer"],
+    )
+    def test_one_class_held_out_fold_is_a_data_error_before_training(
+        self, rng, monkeypatch, held_out, metrics, message
+    ):
+        import lomo.evaluation
+
+        data = separable_binary(rng, n=12)
+        # fold 1 holds the first four samples of one class, fold 0 the rest
+        chosen = [s.id for s in data if s.label == held_out][:4]
+        folds = make_folds(data, "fixed_from_manifest",
+                           manifest_folds={s.id: int(s.id in chosen) for s in data})
+        trained = []
+        monkeypatch.setattr(lomo.evaluation, "train_spec", lambda *a, **k: trained.append(a))
+        spec = ModelSpec("MIL", TrainConfig(M=1, maxiter=20, seed=1, coverage_t=0))
+        with pytest.raises(DataError) as info:
+            cross_validate(data, folds, spec, metrics=metrics)
+        assert str(info.value).startswith(message)
+        assert trained == []
+
+    def test_one_class_fold_scores_metrics_that_need_no_second_class(self, rng):
+        data = separable_binary(rng, n=12)
+        chosen = [s.id for s in data if s.label == 1][:4]
+        folds = make_folds(data, "fixed_from_manifest",
+                           manifest_folds={s.id: int(s.id in chosen) for s in data})
+        spec = ModelSpec("MIL", TrainConfig(M=1, maxiter=20, seed=1, coverage_t=0))
+        report = cross_validate(data, folds, spec, metrics=("acc", "avgclassacc", "map"))
+        assert report.per_fold[1]["metrics"]["map"] == 1.0
+
     def test_report_json_is_stable(self, rng):
         data = separable_binary(rng)
         folds = make_folds(data, "random_k_fold", k=2, seed=0)
