@@ -89,6 +89,8 @@ FUSE_UNUSED = (
     "grid", "folds", "model_kind", "events", "eta", "lambda1", "lambda2", "gamma_g",
     "coverage_t", "maxiter", "pooling", "init_scale",
 )
+# and these two flags do nothing without --fuse
+FUSE_ONLY = ("fusion", "weights")
 
 
 def _add_train_flags(p: _Parser) -> None:
@@ -153,7 +155,7 @@ def cmd_train(args, argv) -> int:
     _write_run_record(args.out, argv, asdict(resolved), config.seed, [args.out], started)
     print(
         f"trained {spec.kind} on {len(samples)} sequences: "
-        f"violations={report.violations} objective={final_obj:.6g} "
+        f"violations={report.violations} certified={report.certified} objective={final_obj:.6g} "
         f"duration={report.duration_s:.2f}s -> {args.out}"
     )
     return 0
@@ -232,6 +234,10 @@ def cmd_eval(args, argv) -> int:
         unused = [f"--{d.replace('_', '-')}" for d in FUSE_UNUSED if d in args.given]
         if unused:
             raise ValueError(f"--fuse scores saved models and does not use {', '.join(unused)}")
+    else:
+        unused = [f"--{d}" for d in FUSE_ONLY if d in args.given]
+        if unused:
+            raise ValueError(f"without --fuse, eval does not use {', '.join(unused)}")
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     if not metrics:
         raise ValueError("--metrics must name at least one metric")

@@ -335,6 +335,9 @@ def cross_validate(
     one-vs-all with argmax decisions. The train and eval sets of a fold are
     disjoint by construction and this is asserted structurally.
     """
+    for name in metrics:  # before any fold trains
+        if name not in METRIC_NAMES:
+            raise ValueError(f"unknown metric {name!r}; expected one of {METRIC_NAMES}")
     ids = _unique_ids(dataset)
     unassigned = [sid for sid in ids if sid not in folds.assignment]
     if unassigned:

@@ -13,6 +13,9 @@ average. The score s and the latent placement come from the greedy solver
 by default; the exact solver can be requested, which matters on data where
 the ordering costs carry the class signal (the greedy picks frames without
 looking at the cost table, so that signal cannot feed back through it).
+With an exact solver, ``train`` skips the solve on a positive sample whose
+last placement in the run already scores above 1 by a proven rounding
+margin: the exact score is at least as high, so the step cannot violate.
 
 Randomness uses numpy's PCG64 generator, so a seed fully determines the
 initialization and the sampling sequence.
@@ -22,13 +25,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, sqrt
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (
-    BINARY_LABELS, MAX_EVENTS, POOL_MODES, Model, SequenceSample, perm_rank, pool, score_fixed,
+    BINARY_LABELS, MAX_EVENTS, POOL_MODES, Model, SequenceSample, _score_placement, perm_rank, pool,
+    score_fixed,
 )
 from .errors import DataError
 from .inference import SOLVERS
@@ -77,12 +81,18 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """Final model plus diagnostics of one training run."""
+    """Final model plus diagnostics of one training run.
+
+    ``certified`` counts the steps that ``train`` decided without calling
+    the solver, because the sample's last exact placement already proved the
+    margin (see ``_certifies``).
+    """
 
     model: Model
     trace: List[Tuple[int, float]] = field(default_factory=list)
     violations: int = 0
     duration_s: float = 0.0
+    certified: int = 0
 
 
 def init_model(config: TrainConfig, dim: int, rng: Optional[np.random.Generator] = None) -> Model:
@@ -108,11 +118,94 @@ def init_model(config: TrainConfig, dim: int, rng: Optional[np.random.Generator]
     )
 
 
+# Solvers that return a maximizer of the score, so that any feasible
+# placement's score bounds theirs from below.
+_EXACT_SOLVERS = frozenset(("dp", "brute"))
+
+_UNIT_ROUNDOFF = 2.0**-53  # u, for float64 with round to nearest
+
+
+class _LastPlacements:
+    """Each positive sample's last exact placement within one ``train`` call.
+
+    ``entries`` maps a sample to ``(k, perm_rank, largest frame norm)``;
+    ``certified`` counts the steps that one of them decided without a solve.
+    A placement stays feasible for the whole run, because ``effective_t``
+    depends only on the sample's length, M and the model's fixed coverage.
+    """
+
+    __slots__ = ("entries", "certified")
+
+    def __init__(self):
+        self.entries = {}
+        self.certified = 0
+
+    def remember(self, sample: SequenceSample, assignment, entry) -> None:
+        """Store the placement just solved; ``entry`` is the sample's
+        previous one, or None on its first solve, which computes the norm."""
+        if entry is None:
+            f = sample.frames
+            frame_norm = sqrt(float(np.einsum("ij,ij->i", f, f).max()))
+        else:
+            frame_norm = entry[2]
+        self.entries[sample] = (assignment.k, assignment.perm_rank, frame_norm)
+
+
+def _certifies(model: Model, sample: SequenceSample, entry) -> bool:
+    """True when the positive ``sample``'s exact placement under ``model``
+    provably scores at least 1, judged from the stored placement ``entry``.
+
+    Write B(k) = (1-g) * (template_score + ordering_cost) as
+    ``_score_placement`` rounds it and A = g * global_score, so that a
+    placement's total is T(k) = fl(A + B(k)) with the same float A for every
+    k. Let L(k) be B(k) in exact arithmetic over the stored floats, with
+    lam = fl(1 - g), and V(k) the value the exact solver compares: its
+    scaled responses fl(fl(lam/M) * <w_i, x_p>) summed over the slots, plus
+    fl(lam * c). Both solvers maximize V exactly over the feasible
+    placements: rounding is monotone, so ``infer_dp``'s stage
+    fl(row[p] + max of later stage) is the largest rounded suffix sum, and
+    ``infer_brute`` enumerates. Hence V(k*) >= V(s) for the solver's k* and
+    the stored feasible s.
+
+    Each term of V and B passes through one dot product of length d and at
+    most M + 4 further roundings; Python's ``sum`` of the M dots and the
+    BLAS matmul's summation order are covered by allowing n = d + 2M + 4.
+    By Higham's bound, |V(k) - L(k)| and |B(k) - L(k)| are at most
+    e = gamma_n * lam * (R + C), gamma_n = n*u / (1 - n*u) <= 2*n*u, where
+    R >= sum_j |w_ij| |x_pj| for every template i and frame p, and
+    C >= max |c|. Cauchy-Schwarz gives R = ||W||_F * max_p ||x_p||, and
+    C = ||c||_2. Chaining, B(k*) >= L(k*) - e >= V(k*) - 2e >= V(s) - 2e
+    >= B(s) - 4e.
+
+    The step updates the model only if T(k*) < 1. As 1 is a float and fl
+    is monotone, T(k*) >= 1 whenever A + B(k*) >= 1, which holds when
+    A + B(s) >= 1 + 4e. The test ``T(s) >= fl(1 + delta)`` gives
+    A + B(s) >= (1 + delta)(1 - u)^2 >= 1 + delta - 2u(1 + delta), which is
+    at least 1 + 4e when delta >= 8e + 4u; delta = 16*n*u*(lam*(R + C) + 1)
+    is enough. The code doubles that to 32*n*u*(...) to cover the rounding
+    of the norms and of delta itself, whose relative error stays below 1/2
+    while (d*M + M! + d + 10) * u < 1/4. So a certified step is one whose
+    solve would find no violation: skipping the solve leaves the model,
+    violations and trace bit for bit as they were.
+    """
+    k, rank, frame_norm = entry
+    lb = _score_placement(model, sample, k, rank).total
+    if lb < 1.0:
+        return False
+    w = model.templates.ravel()
+    c = model.ordering_costs
+    lam = 1.0 - model.gamma_g
+    scale = lam * (sqrt(float(np.dot(w, w))) * frame_norm + sqrt(float(np.dot(c, c))))
+    n = model.dim + 2 * model.n_events + 4
+    return lb >= 1.0 + 32.0 * n * _UNIT_ROUNDOFF * (scale + 1.0)
+
+
 def sgd_step(
     model: Model,
     sample: SequenceSample,
     config: TrainConfig,
     solver: str = "greedy",
+    _last: Optional[_LastPlacements] = None,
 ) -> Model:
     """One stochastic update on one sample.
 
@@ -123,6 +216,11 @@ def sgd_step(
     template absorbs the pooled sequence. The local and global parts are
     weighted by the model's ``gamma_g``, which also scores the sample. With
     ``ordinal_enabled=False`` the cost table is left untouched.
+
+    ``train`` passes ``_last`` only for a positive sample, an exact solver
+    and ``gamma_g < 1``. The step then returns the model without solving
+    when the sample's stored placement certifies the margin, and otherwise
+    stores the placement it solves.
     """
     y = sample.label
     if y not in BINARY_LABELS:
@@ -139,8 +237,14 @@ def sgd_step(
         assignment = None
         total = float(np.dot(model.global_template, pool(sample, model.pooling)))
     else:
+        entry = None if _last is None else _last.entries.get(sample)
+        if entry is not None and _certifies(model, sample, entry):
+            _last.certified += 1
+            return model
         assignment = infer_fn(model, sample)
         total = assignment.total
+        if _last is not None:
+            _last.remember(sample, assignment, entry)
     if y * total >= 1.0:
         return model
     m = model.n_events
@@ -217,6 +321,11 @@ def train(
     after the last step, and ``0`` records nothing. Each point costs one
     solver call per sample; the trace never touches the random stream, so
     the model and ``violations`` do not depend on it.
+
+    With the ``dp`` or ``brute`` solver and ``gamma_g < 1``, each positive
+    sample's last solved placement is kept for this call only; a step it
+    certifies calls no solver and counts in ``TrainReport.certified``. The
+    model, ``violations`` and ``trace`` are those of solving every step.
     """
     _check_dataset(dataset, config.M)
     if trace_every is not None and trace_every < 0:
@@ -231,9 +340,15 @@ def train(
         trace.append((0, objective(model, dataset, config, solver)))
     violations = 0
     n = len(dataset)
+    last = None
+    if solver in _EXACT_SOLVERS and config.gamma_g < 1.0:
+        last = _LastPlacements()
     for it in range(1, config.maxiter + 1):
         sample = dataset[int(rng.integers(n))]
-        stepped = sgd_step(model, sample, config, solver)
+        if last is not None and sample.label == 1:
+            stepped = sgd_step(model, sample, config, solver, _last=last)
+        else:
+            stepped = sgd_step(model, sample, config, solver)
         if stepped is not model:
             violations += 1
             model = stepped
@@ -244,6 +359,7 @@ def train(
         trace=trace,
         violations=violations,
         duration_s=time.perf_counter() - started,
+        certified=0 if last is None else last.certified,
     )
 
 

@@ -198,11 +198,14 @@ class TestTrain:
             "--events", "2", "--gamma-g", "0.4", "--coverage-t", "1", "--maxiter", "250",
             "--seed", "3", "--solver", solver, "--out", str(tmp_path / "m.bin"),
         ]) == 0
-        printed = capsys.readouterr().out.split("objective=")[1].split()[0]
+        out = capsys.readouterr().out
+        printed = out.split("objective=")[1].split()[0]
         samples, _ = load_dataset(synth_dir / "train.json")
         spec = ModelSpec(kind, TrainConfig(M=2, gamma_g=0.4, coverage_t=1, maxiter=250, seed=3))
-        trace = train_spec(samples, spec, solver=solver).trace
-        assert printed == f"{trace[-1][1]:.6g}"
+        report = train_spec(samples, spec, solver=solver)
+        assert printed == f"{report.trace[-1][1]:.6g}"
+        assert f" violations={report.violations} certified={report.certified} " in out
+        assert (report.certified > 0) == (solver == "dp")  # greedy never certifies
 
     def test_env_seed_fallback(self, synth_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("LOMO_SEED", "777")
@@ -466,6 +469,27 @@ class TestEval:
         ])
         assert rc == 1
         assert f"--fuse scores saved models and does not use {named}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--weights", "5,abc", "--fusion", "zscore"], "--fusion, --weights"),
+            (["--fusion", "equal"], "--fusion"),
+            (["--weights", "1", "--grid", "missing-grid.json"], "--weights"),
+        ],
+        ids=["both", "fusion-at-default", "grid"],
+    )
+    def test_fusion_flags_without_fuse_are_a_usage_error(self, tmp_path, capsys, extra, named):
+        # the manifest does not exist: the usage error comes first
+        out = tmp_path / "report.json"
+        rc = main([
+            "eval", "--manifest", str(tmp_path / "missing.json"), "--events", "2",
+            "--coverage-t", "1", "--maxiter", "20", "--folds", "random:2", "--metrics", "acc",
+            *extra, "--out", str(out),
+        ])
+        assert rc == 1
+        assert f"without --fuse, eval does not use {named}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_fuse_takes_solver_and_seed(self, synth_dir, tmp_path):

@@ -326,6 +326,22 @@ class TestCrossValidate:
         assert str(info.value).startswith(message)
         assert trained == []
 
+    @pytest.mark.parametrize("search", [False, True], ids=["cross_validate", "grid_search"])
+    def test_unknown_metric_rejected_before_training(self, rng, monkeypatch, search):
+        import lomo.evaluation
+
+        data = separable_binary(rng, n=12)
+        folds = make_folds(data, "random_k_fold", k=2, seed=0)
+        trained = []
+        monkeypatch.setattr(lomo.evaluation, "train_spec", lambda *a, **k: trained.append(a))
+        spec = ModelSpec("MIL", TrainConfig(M=1, maxiter=20, seed=1, coverage_t=0))
+        with pytest.raises(ValueError, match="unknown metric 'bogus'; expected one of"):
+            if search:
+                grid_search(data, folds, spec, {"lambda1": [1e-5, 1e-3]}, metric="bogus")
+            else:
+                cross_validate(data, folds, spec, metrics=("acc", "bogus"))
+        assert trained == []
+
     def test_one_class_fold_scores_metrics_that_need_no_second_class(self, rng):
         data = separable_binary(rng, n=12)
         chosen = [s.id for s in data if s.label == 1][:4]

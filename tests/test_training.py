@@ -3,6 +3,7 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lomo import (
     DataError,
@@ -20,6 +21,7 @@ from lomo import (
     sgd_step,
     train,
 )
+from lomo.training import _LastPlacements
 
 
 def make_sample(frames, label=1, sid="s"):
@@ -319,6 +321,130 @@ class TestTrain:
                 make_sample(rng.standard_normal((4, 3)), 1, "b")]
         with pytest.raises(DataError):
             train(data, TrainConfig())
+
+
+def _always_solve(model, sample, config, solver="greedy", _last=None):
+    """``sgd_step`` without the stored placements: every step solves."""
+    return sgd_step(model, sample, config, solver)
+
+
+def _ordered_events(rng, n_samples, m, d, n_range, signal):
+    """Positives carry M random prototypes in index order at distinct random
+    frames, negatives in reverse order; both under unit Gaussian noise."""
+    protos = signal * rng.standard_normal((m, d))
+    data = []
+    for i in range(n_samples):
+        label = 1 if i % 2 else -1
+        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        frames = rng.standard_normal((n, d))
+        pos = np.sort(rng.choice(n, size=m, replace=False))
+        frames[pos] += protos if label == 1 else protos[::-1]
+        data.append(make_sample(frames, label, f"o{i}"))
+    return data
+
+
+def _counting_solvers(monkeypatch):
+    """Wrap every solver to record the label of each sample it solves."""
+    import lomo.inference
+
+    calls = []
+    for name, fn in list(lomo.inference.SOLVERS.items()):
+        monkeypatch.setitem(
+            lomo.inference.SOLVERS, name,
+            lambda model, sample, _fn=fn, _name=name: calls.append((_name, sample.label))
+            or _fn(model, sample),
+        )
+    return calls
+
+
+class TestCertifiedMargin:
+    """An exact-solver step on a positive skips the solve when the sample's
+    last placement already scores at least 1 + delta."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        solver=st.sampled_from(["dp", "brute"]),
+        gamma_g=st.sampled_from([0.0, 0.5]),
+        ordinal=st.booleans(),
+        lambda2=st.sampled_from([0.0, 0.05]),
+        m=st.integers(1, 3),
+        coverage_t=st.integers(0, 4),
+        short=st.booleans(),
+    )
+    def test_same_model_violations_and_trace_as_always_solving(
+        self, seed, solver, gamma_g, ordinal, lambda2, m, coverage_t, short
+    ):
+        import lomo.training
+
+        rng = np.random.default_rng(seed)
+        # lengths M..2M+1 make effective_t clamp coverage_t for most samples
+        n_range = (m, 2 * m + 1) if short else (m + 4, 11)
+        data = _ordered_events(rng, 10, m, 3, n_range, signal=2.0)
+        cfg = TrainConfig(M=m, eta=0.5, lambda1=1e-3, lambda2=lambda2, gamma_g=gamma_g,
+                          coverage_t=coverage_t, maxiter=150, seed=seed % 97,
+                          ordinal_enabled=ordinal, init_scale=0.1)
+        fast = train(data, cfg, solver=solver, trace_every=40)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lomo.training, "sgd_step", _always_solve)
+            slow = train(data, cfg, solver=solver, trace_every=40)
+        assert slow.certified == 0
+        assert fast.violations == slow.violations
+        assert fast.trace == slow.trace
+        for name in ("templates", "ordering_costs", "global_template"):
+            a, b = getattr(fast.model, name), getattr(slow.model, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+    def _margin_case(self, value):
+        """M=1, d=1: the stored placement (0,) scores exactly ``value``."""
+        model = Model(templates=[[1.0]], ordering_costs=[0.0])
+        sample = make_sample([[value], [0.5]])
+        last = _LastPlacements()
+        last.entries[sample] = ((0,), 1, value)
+        return model, sample, last
+
+    @pytest.mark.parametrize(
+        "value, certified",
+        [(1.0, False), (np.nextafter(1.0, 2.0), False), (1.0 + 1e-6, True), (2.0, True)],
+        ids=["one", "one-ulp-above", "1e-6-above", "two"],
+    )
+    def test_near_margin_placement_is_still_solved(self, monkeypatch, value, certified):
+        model, sample, last = self._margin_case(value)
+        assert score_fixed(model, sample, (0,)).total == value
+        calls = _counting_solvers(monkeypatch)
+        stepped = sgd_step(model, sample, TrainConfig(M=1), "dp", _last=last)
+        assert stepped is model  # no violation either way
+        assert last.certified == int(certified)
+        assert calls == ([] if certified else [("dp", 1)])
+
+    def test_skips_dp_calls_on_planted_data_only(self, monkeypatch):
+        import lomo.training
+
+        data = _ordered_events(np.random.default_rng(3), 40, 3, 6, (14, 18), signal=2.0)
+        cfg = TrainConfig(M=3, coverage_t=2, maxiter=2000, seed=1, init_scale=1e-2)
+        steps = []
+        def counted_step(model, sample, *args, **kwargs):
+            steps.append(sample.label)
+            return sgd_step(model, sample, *args, **kwargs)
+
+        monkeypatch.setattr(lomo.training, "sgd_step", counted_step)
+        calls = _counting_solvers(monkeypatch)
+        certified = {}
+        for solver in ("dp", "greedy"):
+            for trace_every in (0, 500):
+                del steps[:], calls[:]
+                report = train(data, cfg, solver=solver, trace_every=trace_every)
+                # the objective solves each of the 20 positives and 20 negatives per point
+                per_class = (cfg.maxiter // trace_every + 1) * 20 if trace_every else 0
+                assert len(steps) == cfg.maxiter
+                assert calls.count((solver, -1)) == steps.count(-1) + per_class
+                assert calls.count((solver, 1)) == steps.count(1) - report.certified + per_class
+                assert len(calls) == cfg.maxiter - report.certified + 2 * per_class
+                certified[solver, trace_every] = report.certified
+        assert certified["dp", 0] == certified["dp", 500] > 0
+        assert certified["greedy", 0] == certified["greedy", 500] == 0
+        # the stored placements belong to one call: the same samples train alike again
+        assert train(data, cfg, solver="dp", trace_every=0).certified == certified["dp", 0]
 
 
 class TestObjective:
