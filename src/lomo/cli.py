@@ -1,13 +1,13 @@
 """Command-line interface.
 
-Subcommands: ``train``, ``predict``, ``eval``, ``synth``, ``infer-bench``.
+Subcommands: ``train``, ``predict``, ``eval``, ``fuse``, ``synth``, ``infer-bench``.
 Every command writes a run record (<output>.run.json) capturing the argv,
 the resolved configuration, and the seed; outputs themselves contain no
 timestamps, so re-running a record reproduces them byte for byte.
 
 Exit codes: 0 success, 1 usage error, 2 data or parse error, 3 numeric or
 infeasibility error. ``LOMO_SEED`` provides the default seed when --seed is
-not given.
+left out.
 """
 
 from __future__ import annotations
@@ -75,22 +75,40 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-class _StoreGiven(argparse.Action):
-    """A plain store action that also adds its dest to ``namespace.given``,
-    so a command can tell a flag given at its default from one left out."""
+# Flag-value types: argparse makes a bad value a usage error before any file is read
+def _metric_list(text: str) -> tuple:
+    """--metrics: a comma list naming at least one of METRIC_NAMES."""
+    metrics = tuple(m.strip() for m in text.split(",") if m.strip())
+    if not metrics or not set(metrics) <= set(METRIC_NAMES):
+        raise argparse.ArgumentTypeError(
+            f"expected a non-empty comma list from {', '.join(METRIC_NAMES)}, got {text!r}")
+    return metrics
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = namespace.given | {self.dest}
+
+def _fold_policy(text: str) -> tuple:
+    """--folds: the (policy, k) pair that make_folds takes. The range of k
+    depends on the data, so make_folds checks it after loading."""
+    if text == "logo":
+        return "leave_one_group_out", None
+    if text == "manifest":
+        return "fixed_from_manifest", None
+    try:
+        policy, k = text.split(":")
+        return {"random": "random_k_fold", "group": "group_k_fold"}[policy], int(k)
+    except (KeyError, ValueError):
+        raise argparse.ArgumentTypeError(
+            f"expected random:k, group:k, logo or manifest, got {text!r}")
 
 
-# `lomo eval --fuse` scores saved models: these eval flags would do nothing
-FUSE_UNUSED = (
-    "grid", "folds", "model_kind", "events", "eta", "lambda1", "lambda2", "gamma_g",
-    "coverage_t", "maxiter", "pooling", "init_scale",
-)
-# and these two flags do nothing without --fuse
-FUSE_ONLY = ("fusion", "weights")
+def _weight_list(text: str) -> list:
+    """--weights: a non-empty comma list of finite numbers."""
+    try:
+        weights = [float(w) for w in text.split(",")]
+    except ValueError:
+        weights = []
+    if not weights or not all(map(math.isfinite, weights)):
+        raise argparse.ArgumentTypeError(f"expected a comma list of finite numbers, got {text!r}")
+    return weights
 
 
 def _add_train_flags(p: _Parser) -> None:
@@ -192,23 +210,6 @@ def cmd_predict(args, argv) -> int:
     return 0
 
 
-def _parse_folds(spec_str, samples, fold_map, seed):
-    if spec_str == "logo":
-        return make_folds(samples, "leave_one_group_out")
-    if spec_str == "manifest":
-        return make_folds(samples, "fixed_from_manifest", manifest_folds=fold_map)
-    try:
-        policy, k = spec_str.split(":")
-        k = int(k)
-    except ValueError:
-        raise DataError(f"bad --folds value {spec_str!r}; expected random:k, group:k, logo, manifest")
-    if policy == "random":
-        return make_folds(samples, "random_k_fold", k=k, seed=seed)
-    if policy == "group":
-        return make_folds(samples, "group_k_fold", k=k, seed=seed)
-    raise DataError(f"unknown fold policy {policy!r}")
-
-
 GRID_KEYS = ("lambda1", "coverage_t", "gamma_g")
 
 
@@ -230,59 +231,16 @@ def _load_grid(path) -> dict:
 
 def cmd_eval(args, argv) -> int:
     started = time.time()
-    if args.fuse:
-        unused = [f"--{d.replace('_', '-')}" for d in FUSE_UNUSED if d in args.given]
-        if unused:
-            raise ValueError(f"--fuse scores saved models and does not use {', '.join(unused)}")
-    else:
-        unused = [f"--{d}" for d in FUSE_ONLY if d in args.given]
-        if unused:
-            raise ValueError(f"without --fuse, eval does not use {', '.join(unused)}")
-    metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
-    if not metrics:
-        raise ValueError("--metrics must name at least one metric")
-    for m in metrics:
-        if m not in METRIC_NAMES:
-            raise DataError(f"unknown metric {m!r}; expected subset of {METRIC_NAMES}")
     samples, fold_map = load_dataset(args.manifest)
-
-    if args.fuse:
-        labels = np.array([s.label for s in samples])
-        if not is_binary(labels.tolist()):
-            found = sorted(set(labels.tolist()))
-            raise DataError(f"--fuse needs a binary manifest (labels -1/+1), got labels {found}")
-        model_paths = [p for p in args.fuse.split(",") if p]
-        loadeds = [load_model(p) for p in model_paths]
-        tables = [predict_table(l.model, samples, args.solver) for l in loadeds]
-        weights = None
-        if args.weights:
-            weights = [float(w) for w in args.weights.split(",")]
-        mode = "equal_mean" if args.fusion == "equal" else "zscore_weighted"
-        fused = late_fusion(tables, mode=mode, weights=weights)
-        values = _score_metrics(metrics, fused, labels, None)
-        payload = {
-            "mode": f"fusion:{mode}",
-            "models": model_paths,
-            "weights": weights,
-            "n_samples": len(samples),
-            "metrics": values,
-            "zscore_statistics": "computed over the evaluated sample set",
-        }
-        write_json(args.out, payload)
-        _write_run_record(args.out, argv, payload["mode"], args.seed, [args.out], started)
-        for name, value in values.items():
-            print(f"{name}: {value:.4f}")
-        return 0
-
     spec = ModelSpec(args.model_kind, _config_from_args(args))
-    folds = _parse_folds(args.folds, samples, fold_map, args.seed)
+    folds = make_folds(samples, *args.folds, seed=args.seed, manifest_folds=fold_map)
     resolved = asdict(spec.resolved())
 
     if args.grid:
         grid = _load_grid(args.grid)
         result = grid_search(
             samples, folds, spec, grid,
-            metric=metrics[0], solver=args.solver,
+            metric=args.metrics[0], solver=args.solver,
         )
         write_json(args.out, {"mode": "grid", **asdict(result)})
         _write_run_record(args.out, argv, resolved, args.seed, [args.out], started)
@@ -293,11 +251,45 @@ def cmd_eval(args, argv) -> int:
         )
         return 0
 
-    report = cross_validate(samples, folds, spec, metrics, solver=args.solver)
+    report = cross_validate(samples, folds, spec, args.metrics, solver=args.solver)
     write_json(args.out, asdict(report))
     _write_run_record(args.out, argv, resolved, args.seed, [args.out], started)
     for name, value in report.aggregate.items():
         print(f"{name}: {value:.4f} over {report.n_folds} folds")
+    return 0
+
+
+def cmd_fuse(args, argv) -> int:
+    started = time.time()
+    model_paths = [p for p in args.models.split(",") if p]
+    if not model_paths:
+        raise ValueError("--models must name at least one model file")
+    if args.fusion == "equal" and args.weights is not None:
+        raise ValueError("--fusion equal takes no --weights")
+    if len(args.weights or model_paths) != len(model_paths):
+        raise ValueError(f"got {len(args.weights)} --weights for {len(model_paths)} --models")
+    samples, _ = load_dataset(args.manifest)
+    labels = [s.label for s in samples]
+    if not is_binary(labels):
+        raise DataError(
+            f"fuse needs a binary manifest (labels -1/+1), got labels {sorted(set(labels))}")
+    models = [load_model(p).model for p in model_paths]
+    tables = [predict_table(m, samples, args.solver) for m in models]
+    mode = "equal_mean" if args.fusion == "equal" else "zscore_weighted"
+    fused = late_fusion(tables, mode=mode, weights=args.weights)
+    values = _score_metrics(args.metrics, fused, np.array(labels), None)
+    payload = {
+        "mode": f"fusion:{mode}",
+        "models": model_paths,
+        "weights": args.weights,
+        "n_samples": len(samples),
+        "metrics": values,
+        "zscore_statistics": "computed over the evaluated sample set",
+    }
+    write_json(args.out, payload)
+    _write_run_record(args.out, argv, payload["mode"], args.seed, [args.out], started)
+    for name, value in values.items():
+        print(f"{name}: {value:.4f}")
     return 0
 
 
@@ -453,18 +445,25 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("eval", help="cross-validate, grid-search, or fuse models")
-    p.register("action", None, _StoreGiven)
+    p = sub.add_parser("eval", help="cross-validate or grid-search a model kind")
     _add_train_flags(p)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--metrics", default="acc")
-    p.add_argument("--folds", default="random:5")
+    p.add_argument("--metrics", type=_metric_list, default="acc")
+    p.add_argument("--folds", type=_fold_policy, default="random:5")
     p.add_argument("--grid", default=None, help="JSON file with lambda1/coverage_t/gamma_g lists")
-    p.add_argument("--fuse", default=None, help="comma list of model files to fuse")
-    p.add_argument("--fusion", choices=("equal", "zscore"), default="equal")
-    p.add_argument("--weights", default=None, help="comma list of fusion weights")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval, given=frozenset())
+    p.set_defaults(func=cmd_eval)
+
+    p = sub.add_parser("fuse", help="late-fuse the score tables of saved models")
+    p.add_argument("--manifest", required=True)
+    p.add_argument("--models", required=True, help="comma list of model files to fuse")
+    p.add_argument("--fusion", choices=("equal", "zscore"), default="equal")
+    p.add_argument("--weights", type=_weight_list, help="zscore weights, one per model")
+    p.add_argument("--metrics", type=_metric_list, default="acc")
+    p.add_argument("--solver", choices=sorted(SOLVERS), default="greedy")
+    p.add_argument("--seed", type=int, default=os.environ.get("LOMO_SEED", "0"))
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("synth", help="generate planted-order synthetic data")
     p.add_argument("--out-dir", required=True)

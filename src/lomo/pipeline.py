@@ -205,7 +205,7 @@ def late_fusion(
     ``equal_mean`` averages raw scores. ``zscore_weighted`` first normalizes
     each table per class to zero mean and unit variance over the evaluated
     set (population variance; an all-constant column normalizes to zeros)
-    and then forms the weighted sum, default weights all one.
+    and then forms the sum weighted by finite weights, default all one.
     """
     if mode not in FUSION_MODES:
         raise ValueError(f"fusion mode must be one of {FUSION_MODES}, got {mode!r}")
@@ -222,10 +222,10 @@ def late_fusion(
         if weights is not None:
             raise ValueError("equal_mean fusion takes no weights")
         return np.mean(arrays, axis=0)
-    if weights is None:
-        weights = [1.0] * len(arrays)
-    if len(weights) != len(arrays):
-        raise ValueError(f"got {len(weights)} weights for {len(arrays)} tables")
+    weights = np.ones(len(arrays)) if weights is None else np.asarray(weights, dtype=np.float64)
+    if weights.shape != (len(arrays),) or not np.isfinite(weights).all():
+        raise ValueError(
+            f"need {len(arrays)} finite weights, one per table, got {weights.tolist()}")
     fused = np.zeros(shape)
     for w, a in zip(weights, arrays):
         mean = a.mean(axis=0)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,14 @@ def write_manifest_of_lengths(directory, lengths, rng):
         write_lseq(directory / f"{sid}.lseq", [SequenceSample(sid, label, frames)])
         entries.append(ManifestEntry(path=f"{sid}.lseq", label=label))
     save_manifest(directory / "lengths.json", Manifest(1, 3, entries))
+
+
+# the three scoring commands: cross-validation, grid search and late fusion
+SCORING_MODES = pytest.mark.parametrize(
+    "mode",
+    [["eval"], ["eval", "--grid", "missing-grid.json"], ["fuse", "--models", "missing.bin"]],
+    ids=["cv", "grid", "fuse"],
+)
 
 
 def read_tsv(path):
@@ -372,14 +381,45 @@ class TestEval:
         single = tmp_path / "single.json"
         double = tmp_path / "double.json"
         base = [
-            "eval", "--manifest", str(synth_dir / "test.json"), "--metrics", "auc,map",
+            "fuse", "--manifest", str(synth_dir / "test.json"), "--metrics", "auc,map",
             "--fusion", "equal",
         ]
-        assert main(base + ["--fuse", str(model), "--out", str(single)]) == 0
-        assert main(base + ["--fuse", f"{model},{model}", "--out", str(double)]) == 0
+        assert main(base + ["--models", str(model), "--out", str(single)]) == 0
+        assert main(base + ["--models", f"{model},{model}", "--out", str(double)]) == 0
         a = json.loads(single.read_text())["metrics"]
         b = json.loads(double.read_text())["metrics"]
         assert a == b
+
+    def test_weighted_fusion_report_is_the_library_fusion(self, synth_dir, tmp_path):
+        from lomo import late_fusion, load_dataset
+        from lomo.evaluation import _score_metrics
+        from lomo.pipeline import predict_table
+
+        paths = [tmp_path / "mil.bin", tmp_path / "lomo.bin"]
+        assert main([
+            "train", "--manifest", str(synth_dir / "train.json"), "--model-kind", "mil",
+            "--maxiter", "200", "--seed", "6", "--out", str(paths[0]),
+        ]) == 0
+        assert main([
+            "train", "--manifest", str(synth_dir / "train.json"), "--model-kind", "lomo",
+            "--events", "2", "--coverage-t", "1", "--maxiter", "200", "--seed", "1",
+            "--solver", "dp", "--out", str(paths[1]),
+        ]) == 0
+        out = tmp_path / "fused.json"
+        assert main([
+            "fuse", "--manifest", str(synth_dir / "test.json"),
+            "--models", ",".join(map(str, paths)), "--fusion", "zscore", "--weights", "1,0.5",
+            "--metrics", "acc,auc,map", "--solver", "dp", "--out", str(out),
+        ]) == 0
+        samples, _ = load_dataset(synth_dir / "test.json")
+        tables = [predict_table(load_model(p).model, samples, "dp") for p in paths]
+        assert not np.array_equal(tables[0], tables[1])
+        fused = late_fusion(tables, "zscore_weighted", [1.0, 0.5])
+        labels = np.array([s.label for s in samples])
+        report = json.loads(out.read_text())
+        assert report["mode"] == "fusion:zscore_weighted"
+        assert report["weights"] == [1.0, 0.5]
+        assert report["metrics"] == _score_metrics(("acc", "auc", "map"), fused, labels, None)
 
 
     @pytest.mark.parametrize("metric", ["acc", "auc"])
@@ -392,7 +432,7 @@ class TestEval:
         ]) == 0
         out = tmp_path / "fused.json"
         rc = main([
-            "eval", "--manifest", str(tmp_path / "mc.json"), "--fuse", str(model),
+            "fuse", "--manifest", str(tmp_path / "mc.json"), "--models", str(model),
             "--metrics", metric, "--out", str(out),
         ])
         assert rc == 2
@@ -432,56 +472,133 @@ class TestEval:
         assert searched == []
         assert not out.exists() and not (tmp_path / "grid_report.json.run.json").exists()
 
-    @pytest.mark.parametrize(
-        "mode",
-        [[], ["--grid", "missing-grid.json"], ["--fuse", "missing.bin"]],
-        ids=["cv", "grid", "fuse"],
-    )
+    @SCORING_MODES
     @pytest.mark.parametrize("metrics", [",", " , "])
     def test_metrics_naming_nothing_is_a_usage_error(self, tmp_path, capsys, mode, metrics):
         # the manifest does not exist either: the usage error comes first
         out = tmp_path / "report.json"
         rc = main([
-            "eval", "--manifest", str(tmp_path / "missing.json"), "--metrics", metrics,
-            *mode, "--out", str(out),
+            *mode, "--manifest", str(tmp_path / "missing.json"), "--metrics", metrics,
+            "--out", str(out),
         ])
         assert rc == 1
-        assert "--metrics must name at least one metric" in capsys.readouterr().err
+        assert "argument --metrics: expected a non-empty comma list from acc," in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    @SCORING_MODES
+    @pytest.mark.parametrize("metrics", ["bogus", "acc,bogus"])
+    def test_unknown_metric_is_a_usage_error(self, tmp_path, capsys, mode, metrics):
+        # the manifest does not exist either: the usage error comes first
+        out = tmp_path / "report.json"
+        rc = main([
+            *mode, "--manifest", str(tmp_path / "missing.json"), "--metrics", metrics,
+            "--out", str(out),
+        ])
+        assert rc == 1
+        assert f"argument --metrics: expected a non-empty comma list from acc, avgclassacc, " \
+               f"map, auc, eer, got {metrics!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("folds", ["random:x", "kfold:3", "random", "logo:2", "group:2:1"])
+    def test_malformed_folds_is_a_usage_error_before_loading(self, tmp_path, capsys, folds):
+        # the manifest does not exist: the usage error comes first
+        out = tmp_path / "report.json"
+        rc = main([
+            "eval", "--manifest", str(tmp_path / "missing.json"), "--folds", folds,
+            "--out", str(out),
+        ])
+        assert rc == 1
+        assert ("argument --folds: expected random:k, group:k, logo or manifest, "
+                f"got {folds!r}") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("models", ["", ","])
+    def test_models_naming_nothing_is_a_usage_error(self, tmp_path, capsys, models):
+        # the manifest does not exist either: the usage error comes first
+        out = tmp_path / "fused.json"
+        rc = main([
+            "fuse", "--manifest", str(tmp_path / "missing.json"), "--models", models,
+            "--out", str(out),
+        ])
+        assert rc == 1
+        assert "--models must name at least one model file" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "extra, named",
+        "extra, message",
         [
-            (["--grid", "nonexistent.json"], "--grid"),
-            (["--folds", "random:5"], "--folds"),
-            (["--events", "1", "--model-kind", "mil"], "--model-kind, --events"),
-            (["--maxiter", "10", "--lambda1", "1e-5", "--solver", "dp"], "--lambda1, --maxiter"),
-            (["--gri", "x.json", "--seed", "3"], "--grid"),
+            (["--fusion", "zscore", "--weights", ""],
+             "argument --weights: expected a comma list of finite numbers, got ''"),
+            (["--fusion", "zscore", "--weights", ","],
+             "argument --weights: expected a comma list of finite numbers, got ','"),
+            (["--fusion", "zscore", "--weights", "5,abc"],
+             "argument --weights: expected a comma list of finite numbers, got '5,abc'"),
+            (["--fusion", "zscore", "--weights", "nan,1"],
+             "argument --weights: expected a comma list of finite numbers, got 'nan,1'"),
+            (["--fusion", "zscore", "--weights", "1,-inf"],
+             "argument --weights: expected a comma list of finite numbers, got '1,-inf'"),
+            (["--fusion", "equal", "--weights", "1,1"], "--fusion equal takes no --weights"),
+            (["--weights", "1,1"], "--fusion equal takes no --weights"),
+            (["--fusion", "zscore", "--weights", "1"], "got 1 --weights for 2 --models"),
+            (["--fusion", "zscore", "--weights", "1,2,3"], "got 3 --weights for 2 --models"),
         ],
-        ids=["grid", "folds-at-default", "training-flags", "solver-allowed", "abbreviated"],
+        ids=["empty", "commas", "not-a-number", "nan", "inf", "equal", "equal-at-default",
+             "too-few", "too-many"],
     )
-    def test_fuse_with_flags_it_cannot_use_is_a_usage_error(self, tmp_path, capsys, extra, named):
-        # neither the manifest nor the model exists: the usage error comes first
+    def test_unusable_weights_are_a_usage_error_before_loading(
+        self, tmp_path, capsys, extra, message
+    ):
+        # neither the manifest nor the models exist: the usage error comes first
         out = tmp_path / "fused.json"
         rc = main([
-            "eval", "--manifest", str(tmp_path / "missing.json"), "--fuse", "missing.bin",
+            "fuse", "--manifest", str(tmp_path / "missing.json"), "--models", "a.bin,b.bin",
             *extra, "--out", str(out),
         ])
         assert rc == 1
-        assert f"--fuse scores saved models and does not use {named}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "extra, named",
+        "extra, unrecognized",
         [
-            (["--weights", "5,abc", "--fusion", "zscore"], "--fusion, --weights"),
-            (["--fusion", "equal"], "--fusion"),
-            (["--weights", "1", "--grid", "missing-grid.json"], "--weights"),
+            (["--grid", "nonexistent.json"], "--grid nonexistent.json"),
+            (["--folds", "random:5"], "--folds random:5"),
+            (["--events", "1", "--model-kind", "mil"], "--events 1 --model-kind mil"),
+            (["--maxiter", "10", "--lambda1", "1e-5", "--solver", "dp"],
+             "--maxiter 10 --lambda1 1e-5"),
+            (["--gri", "x.json", "--seed", "3"], "--gri x.json"),
         ],
-        ids=["both", "fusion-at-default", "grid"],
+        ids=["grid", "folds-at-default", "training-flags", "solver-allowed", "abbreviated"],
     )
-    def test_fusion_flags_without_fuse_are_a_usage_error(self, tmp_path, capsys, extra, named):
-        # the manifest does not exist: the usage error comes first
+    def test_fuse_with_flags_it_cannot_use_is_a_usage_error(
+        self, tmp_path, capsys, extra, unrecognized
+    ):
+        # neither the manifest nor the model exists: the usage error comes first
+        out = tmp_path / "fused.json"
+        rc = main([
+            "fuse", "--manifest", str(tmp_path / "missing.json"), "--models", "missing.bin",
+            *extra, "--out", str(out),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"lomo: error: unrecognized arguments: {unrecognized}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, unrecognized",
+        [
+            (["--weights", "5,abc", "--fusion", "zscore"], "--weights 5,abc --fusion zscore"),
+            (["--fusion", "equal"], "--fusion equal"),
+            (["--weights", "1", "--grid", "missing-grid.json"], "--weights 1"),
+            (["--fuse", "missing.bin"], "--fuse missing.bin"),
+        ],
+        ids=["both", "fusion-at-default", "grid", "fuse"],
+    )
+    def test_fusion_flags_without_fuse_are_a_usage_error(
+        self, tmp_path, capsys, extra, unrecognized
+    ):
+        # eval has no fusion flags; the manifest does not exist: the usage error comes first
         out = tmp_path / "report.json"
         rc = main([
             "eval", "--manifest", str(tmp_path / "missing.json"), "--events", "2",
@@ -489,8 +606,20 @@ class TestEval:
             *extra, "--out", str(out),
         ])
         assert rc == 1
-        assert f"without --fuse, eval does not use {named}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.endswith(f"lomo: error: unrecognized arguments: {unrecognized}\n")
         assert not out.exists()
+
+    def test_fuse_declares_only_the_flags_it_reads(self, capsys):
+        def flags(command):
+            assert main([command, "--help"]) == 0
+            return set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
+
+        assert flags("fuse") == {
+            "--help", "--manifest", "--models", "--fusion", "--weights", "--metrics",
+            "--solver", "--seed", "--out",
+        }
+        assert not flags("eval") & {"--fuse", "--fusion", "--weights"}
 
     def test_fuse_takes_solver_and_seed(self, synth_dir, tmp_path):
         model = tmp_path / "m.bin"
@@ -500,7 +629,7 @@ class TestEval:
         ]) == 0
         out = tmp_path / "fused.json"
         assert main([
-            "eval", "--manifest", str(synth_dir / "test.json"), "--fuse", str(model),
+            "fuse", "--manifest", str(synth_dir / "test.json"), "--models", str(model),
             "--solver", "dp", "--seed", "3", "--metrics", "acc", "--out", str(out),
         ]) == 0
         assert out.exists()

@@ -304,6 +304,17 @@ class TestLateFusion:
         with pytest.raises(ValueError):
             late_fusion([np.zeros(3)], "equal_mean", weights=[1.0])
 
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf], [1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]],
+        ids=["nan", "inf", "-inf", "too-few", "too-many", "nested"],
+    )
+    def test_weights_must_be_finite_and_one_per_table(self, weights):
+        # a NaN weight would make every fused score NaN, which decide maps to -1
+        tables = [np.array([1.0, 2.0, 3.0]), np.array([3.0, 1.0, 2.0])]
+        with pytest.raises(ValueError, match="need 2 finite weights, one per table"):
+            late_fusion(tables, "zscore_weighted", weights=weights)
+
     def test_multiclass_tables_normalize_per_class(self, rng):
         table = rng.standard_normal((5, 3))
         z = late_fusion([table], "zscore_weighted")
