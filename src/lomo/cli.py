@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: ``train``, ``predict``, ``eval``, ``fuse``, ``synth``, ``infer-bench``.
-Every command writes a run record (<output>.run.json) capturing the argv,
-the resolved configuration, and the seed; outputs themselves contain no
-timestamps, so re-running a record reproduces them byte for byte.
+Every command that succeeds writes a run record (<output>.run.json)
+capturing the argv, the resolved configuration, and the seed; outputs
+themselves contain no timestamps, so re-running a record reproduces them
+byte for byte.
 
 Exit codes: 0 success, 1 usage error, 2 data or parse error, 3 numeric or
 infeasibility error. ``LOMO_SEED`` provides the default seed when --seed is
@@ -14,11 +15,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -75,6 +77,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+class _SubcommandParser(_Parser):
+    # an unknown flag is reported with the subcommand's usage, not lomo's
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return parsed, extras
+
+
 # Flag-value types: argparse makes a bad value a usage error before any file is read
 def _metric_list(text: str) -> tuple:
     """--metrics: a comma list naming at least one of METRIC_NAMES."""
@@ -100,6 +111,35 @@ def _fold_policy(text: str) -> tuple:
             f"expected random:k, group:k, logo or manifest, got {text!r}")
 
 
+def _int_list(text: str) -> list:
+    """--n, --m, --t: a comma list of integers."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}")
+
+
+def _solver_list(text: str) -> list:
+    """--solvers: a comma list naming distinct SOLVERS, at least one."""
+    solvers = [s for s in text.split(",") if s]
+    if not solvers or len(set(solvers)) < len(solvers) or not set(solvers) <= set(SOLVERS):
+        raise argparse.ArgumentTypeError(
+            f"expected a non-empty comma list of distinct names from "
+            f"{', '.join(sorted(SOLVERS))}, got {text!r}")
+    return solvers
+
+
+def _instance_count(text: str) -> int:
+    """--instances: an integer, at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"--instances must be at least 1, got {count}")
+    return count
+
+
 def _weight_list(text: str) -> list:
     """--weights: a non-empty comma list of finite numbers."""
     try:
@@ -111,57 +151,42 @@ def _weight_list(text: str) -> list:
     return weights
 
 
+def _add_seed_flag(p: _Parser) -> None:
+    # read when the parser is built, so LOMO_SEED set after import still counts
+    p.add_argument("--seed", type=int, default=os.environ.get("LOMO_SEED", "0"))
+
+
 def _add_train_flags(p: _Parser) -> None:
+    # each dest but --model-kind's and --solver's is a TrainConfig field
     p.add_argument("--model-kind", default="lomo", choices=sorted(KIND_ALIASES))
-    p.add_argument("--events", type=int, default=1, metavar="M")
+    p.add_argument("--events", dest="M", type=int, default=1, metavar="M")
     p.add_argument("--eta", type=float, default=0.05)
     p.add_argument("--lambda1", type=float, default=1e-5)
     p.add_argument("--lambda2", type=float, default=0.0)
     p.add_argument("--gamma-g", type=float, default=0.0)
     p.add_argument("--coverage-t", type=int, default=5)
     p.add_argument("--maxiter", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=os.environ.get("LOMO_SEED", "0"))
+    _add_seed_flag(p)
     p.add_argument("--pooling", choices=POOL_MODES, default="mean")
     p.add_argument("--init-scale", type=float, default=1e-4)
     p.add_argument("--solver", choices=sorted(SOLVERS), default="greedy")
 
 
-def _config_from_args(args) -> TrainConfig:
-    return TrainConfig(
-        M=args.events,
-        eta=args.eta,
-        lambda1=args.lambda1,
-        lambda2=args.lambda2,
-        gamma_g=args.gamma_g,
-        coverage_t=args.coverage_t,
-        maxiter=args.maxiter,
-        seed=args.seed,
-        pooling=args.pooling,
-        init_scale=args.init_scale,
-    )
+def _config_from_args(cls, args):
+    """A cls (TrainConfig or SynthConfig) from the flags whose dest is one of its fields."""
+    flags = vars(args)
+    return cls(**{f.name: flags[f.name] for f in fields(cls) if f.name in flags})
 
 
-def _write_run_record(out_path, argv, resolved, seed, outputs, started):
-    record = {
-        "tool": "lomo",
-        "version": __version__,
-        "argv": argv,
-        "resolved_config": resolved,
-        "seed": seed,
-        "outputs": [str(o) for o in outputs],
-        "fingerprint": config_fingerprint({"config": resolved, "seed": seed}),
-        "started_unix": started,
-        "finished_unix": time.time(),
-    }
-    write_json(f"{out_path}.run.json", record)
+# Each cmd_* returns (record base, resolved config, seed, outputs); main
+# writes the run record <base>.run.json once the command has succeeded.
 
 
-def cmd_train(args, argv) -> int:
-    started = time.time()
+def cmd_train(args):
     samples, _ = load_dataset(args.manifest)
     if args.positive_class is not None:
         samples = one_vs_rest(samples, args.positive_class)
-    config = _config_from_args(args)
+    config = _config_from_args(TrainConfig, args)
     spec = ModelSpec(args.model_kind, config)
     report = train_spec(samples, spec, solver=args.solver, trace_every=0)
     resolved = spec.resolved()
@@ -170,17 +195,15 @@ def cmd_train(args, argv) -> int:
     # failure leaves no model file behind.
     final_obj = training.objective(report.model, samples, resolved, args.solver)
     save_model(args.out, report.model, kind=spec.kind, seed=config.seed)
-    _write_run_record(args.out, argv, asdict(resolved), config.seed, [args.out], started)
     print(
         f"trained {spec.kind} on {len(samples)} sequences: "
         f"violations={report.violations} certified={report.certified} objective={final_obj:.6g} "
         f"duration={report.duration_s:.2f}s -> {args.out}"
     )
-    return 0
+    return args.out, asdict(resolved), config.seed, [args.out]
 
 
-def cmd_predict(args, argv) -> int:
-    started = time.time()
+def cmd_predict(args):
     loaded = load_model(args.model)
     samples, _ = load_dataset(args.manifest)
     model = loaded.model
@@ -204,10 +227,8 @@ def cmd_predict(args, argv) -> int:
                     repr(a.global_score),
                 ]
             writer.writerow(row)
-    _write_run_record(args.out, argv, {"model": str(args.model), "solver": args.solver},
-                      loaded.seed, [args.out], started)
     print(f"scored {len(samples)} sequences with {loaded.kind} ({args.solver}) -> {args.out}")
-    return 0
+    return args.out, {"model": str(args.model), "solver": args.solver}, loaded.seed, [args.out]
 
 
 GRID_KEYS = ("lambda1", "coverage_t", "gamma_g")
@@ -229,10 +250,9 @@ def _load_grid(path) -> dict:
     return grid
 
 
-def cmd_eval(args, argv) -> int:
-    started = time.time()
+def cmd_eval(args):
     samples, fold_map = load_dataset(args.manifest)
-    spec = ModelSpec(args.model_kind, _config_from_args(args))
+    spec = ModelSpec(args.model_kind, _config_from_args(TrainConfig, args))
     folds = make_folds(samples, *args.folds, seed=args.seed, manifest_folds=fold_map)
     resolved = asdict(spec.resolved())
 
@@ -243,24 +263,20 @@ def cmd_eval(args, argv) -> int:
             metric=args.metrics[0], solver=args.solver,
         )
         write_json(args.out, {"mode": "grid", **asdict(result)})
-        _write_run_record(args.out, argv, resolved, args.seed, [args.out], started)
         b = result.best
         print(
             f"grid best: lambda1={b['lambda1']} coverage_t={b['coverage_t']} "
             f"gamma_g={b['gamma_g']} {result.metric}={b['score']:.4f}"
         )
-        return 0
-
-    report = cross_validate(samples, folds, spec, args.metrics, solver=args.solver)
-    write_json(args.out, asdict(report))
-    _write_run_record(args.out, argv, resolved, args.seed, [args.out], started)
-    for name, value in report.aggregate.items():
-        print(f"{name}: {value:.4f} over {report.n_folds} folds")
-    return 0
+    else:
+        report = cross_validate(samples, folds, spec, args.metrics, solver=args.solver)
+        write_json(args.out, asdict(report))
+        for name, value in report.aggregate.items():
+            print(f"{name}: {value:.4f} over {report.n_folds} folds")
+    return args.out, resolved, args.seed, [args.out]
 
 
-def cmd_fuse(args, argv) -> int:
-    started = time.time()
+def cmd_fuse(args):
     model_paths = [p for p in args.models.split(",") if p]
     if not model_paths:
         raise ValueError("--models must name at least one model file")
@@ -287,26 +303,13 @@ def cmd_fuse(args, argv) -> int:
         "zscore_statistics": "computed over the evaluated sample set",
     }
     write_json(args.out, payload)
-    _write_run_record(args.out, argv, payload["mode"], args.seed, [args.out], started)
     for name, value in values.items():
         print(f"{name}: {value:.4f}")
-    return 0
+    return args.out, payload["mode"], args.seed, [args.out]
 
 
-def cmd_synth(args, argv) -> int:
-    started = time.time()
-    config = SynthConfig(
-        dim=args.dim,
-        n_min=args.n_min,
-        n_max=args.n_max,
-        m_true=args.m_true,
-        n_pos=args.n_pos,
-        n_neg=args.n_neg,
-        noise_sigma=args.noise_sigma,
-        neg_mode=args.neg_mode,
-        min_gap=args.min_gap,
-        seed=args.seed,
-    )
+def cmd_synth(args):
+    config = _config_from_args(SynthConfig, args)
     train_set, test_set = generate_synthetic(config)
     outputs = []
     for split, samples in (("train", train_set), ("test", test_set)):
@@ -320,93 +323,76 @@ def cmd_synth(args, argv) -> int:
         manifest_path = os.path.join(args.out_dir, f"{split}.json")
         save_manifest(manifest_path, Manifest(MANIFEST_VERSION, config.dim, entries))
         outputs.append(manifest_path)
-    record_base = os.path.join(args.out_dir, "synth")
-    _write_run_record(record_base, argv, asdict(config), config.seed, outputs, started)
     print(
         f"wrote {len(train_set)} train / {len(test_set)} test sequences "
         f"({config.neg_mode}) under {args.out_dir}"
     )
-    return 0
+    return os.path.join(args.out_dir, "synth"), asdict(config), config.seed, outputs
 
 
-def cmd_infer_bench(args, argv) -> int:
-    from math import factorial
-
-    started = time.time()
-    if args.instances < 1:
-        raise ValueError(f"--instances must be at least 1, got {args.instances}")
-    n_list = [int(x) for x in args.n.split(",")]
-    m_list = [int(x) for x in args.m.split(",")]
-    t_list = [int(x) for x in args.t.split(",")]
-    solvers = [s for s in args.solvers.split(",") if s]
-    for s in solvers:
-        if s not in SOLVERS:
-            raise DataError(f"unknown solver {s!r}")
+def cmd_infer_bench(args):
+    solvers = args.solvers
     rows = []
-    cell_index = 0
-    for n in n_list:
-        for m in m_list:
-            for t in t_list:
-                rng = np.random.default_rng(derive_seed(args.seed, cell_index))
-                cell_index += 1
-                instances = []
-                for _ in range(args.instances):
-                    model = Model(
-                        templates=rng.standard_normal((m, args.dim)),
-                        ordering_costs=rng.standard_normal(factorial(m)),
-                        coverage=t,
-                    )
-                    sample = SequenceSample(
-                        f"bench{len(instances)}", 1, rng.standard_normal((n, args.dim))
-                    )
-                    instances.append((model, sample))
-                timed = instances[:TIME_INSTANCES]
-                totals = {}
-                times = {}
-                for solver in solvers:
-                    if solver == "brute" and n**m > BRUTE_FORCE_GUARD:
-                        print(
-                            f"notice: skipping brute at N={n} M={m} "
-                            f"(N^M exceeds {BRUTE_FORCE_GUARD})",
-                            file=sys.stderr,
-                        )
-                        continue
-                    fn = SOLVERS[solver]
-                    totals[solver] = [fn(model, sample).total for model, sample in instances]
-                    # time a cache-resident subset, warmed, best of several
-                    # passes: first-touch page-in would otherwise dominate
-                    for model, sample in timed:
-                        fn(model, sample)
-                    per_pass = []
-                    for _ in range(TIME_REPEATS):
-                        tick = time.perf_counter()
-                        for model, sample in timed:
-                            fn(model, sample)
-                        per_pass.append((time.perf_counter() - tick) / len(timed))
-                    times[solver] = min(per_pass)
-                for solver in solvers:
-                    if solver not in totals:
-                        continue
-                    mean_total = float(np.mean(totals[solver]))
-                    gap = ""
-                    if solver != "greedy" and "greedy" in totals:
-                        gap = repr(
-                            float(np.mean(np.array(totals[solver]) - np.array(totals["greedy"])))
-                        )
-                    rows.append(
-                        {
-                            "solver": solver,
-                            "N": n,
-                            "M": m,
-                            "t": t,
-                            "d": args.dim,
-                            "instances": args.instances,
-                            "time_instances": len(timed),
-                            "mean_time_s": repr(times[solver]),
-                            "mean_total": repr(mean_total),
-                            "score_gap_vs_greedy": gap,
-                        }
-                    )
+    for cell_index, (n, m, t) in enumerate(itertools.product(args.n, args.m, args.t)):
+        rng = np.random.default_rng(derive_seed(args.seed, cell_index))
+        instances = []
+        for _ in range(args.instances):
+            model = Model(
+                templates=rng.standard_normal((m, args.dim)),
+                ordering_costs=rng.standard_normal(math.factorial(m)),
+                coverage=t,
+            )
+            sample = SequenceSample(
+                f"bench{len(instances)}", 1, rng.standard_normal((n, args.dim))
+            )
+            instances.append((model, sample))
+        timed = instances[:TIME_INSTANCES]
+        totals = {}
+        times = {}
+        for solver in solvers:
+            if solver == "brute" and n**m > BRUTE_FORCE_GUARD:
+                print(
+                    f"notice: skipping brute at N={n} M={m} "
+                    f"(N^M exceeds {BRUTE_FORCE_GUARD})",
+                    file=sys.stderr,
+                )
+                continue
+            fn = SOLVERS[solver]
+            totals[solver] = [fn(model, sample).total for model, sample in instances]
+            # time a cache-resident subset, warmed, best of several
+            # passes: first-touch page-in would otherwise dominate
+            for model, sample in timed:
+                fn(model, sample)
+            per_pass = []
+            for _ in range(TIME_REPEATS):
+                tick = time.perf_counter()
+                for model, sample in timed:
+                    fn(model, sample)
+                per_pass.append((time.perf_counter() - tick) / len(timed))
+            times[solver] = min(per_pass)
+        for solver in solvers:
+            if solver not in totals:
+                continue
+            mean_total = float(np.mean(totals[solver]))
+            gap = ""
+            if solver != "greedy" and "greedy" in totals:
+                gap = repr(
+                    float(np.mean(np.array(totals[solver]) - np.array(totals["greedy"])))
+                )
+            rows.append(
+                {
+                    "solver": solver,
+                    "N": n,
+                    "M": m,
+                    "t": t,
+                    "d": args.dim,
+                    "instances": args.instances,
+                    "time_instances": len(timed),
+                    "mean_time_s": repr(times[solver]),
+                    "mean_total": repr(mean_total),
+                    "score_gap_vs_greedy": gap,
+                }
+            )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(
             fh,
@@ -418,15 +404,14 @@ def cmd_infer_bench(args, argv) -> int:
         )
         writer.writeheader()
         writer.writerows(rows)
-    _write_run_record(args.out, argv, {"cells": len(rows)}, args.seed, [args.out], started)
     print(f"wrote {len(rows)} bench rows -> {args.out}")
-    return 0
+    return args.out, {"cells": len(rows)}, args.seed, [args.out]
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="lomo", description=__doc__)
     parser.add_argument("--version", action="version", version=f"lomo {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     p = sub.add_parser("train", help="train one binary model from a manifest")
     _add_train_flags(p)
@@ -461,11 +446,12 @@ def build_parser() -> _Parser:
     p.add_argument("--weights", type=_weight_list, help="zscore weights, one per model")
     p.add_argument("--metrics", type=_metric_list, default="acc")
     p.add_argument("--solver", choices=sorted(SOLVERS), default="greedy")
-    p.add_argument("--seed", type=int, default=os.environ.get("LOMO_SEED", "0"))
+    _add_seed_flag(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("synth", help="generate planted-order synthetic data")
+    # each dest but --out-dir's is a SynthConfig field
     p.add_argument("--out-dir", required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--n-min", type=int, required=True)
@@ -477,17 +463,17 @@ def build_parser() -> _Parser:
     p.add_argument("--neg-mode", choices=("shuffled_order", "events_absent"),
                    default="shuffled_order")
     p.add_argument("--min-gap", type=int, default=0)
-    p.add_argument("--seed", type=int, default=os.environ.get("LOMO_SEED", "0"))
+    _add_seed_flag(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("infer-bench", help="compare solver runtimes and score gaps")
-    p.add_argument("--n", default="300", help="comma list of sequence lengths")
-    p.add_argument("--m", default="3", help="comma list of event counts")
-    p.add_argument("--t", default="5", help="comma list of coverage radii")
+    p.add_argument("--n", type=_int_list, default="300", help="comma list of sequence lengths")
+    p.add_argument("--m", type=_int_list, default="3", help="comma list of event counts")
+    p.add_argument("--t", type=_int_list, default="5", help="comma list of coverage radii")
     p.add_argument("--dim", type=int, default=1000)
-    p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--solvers", default="greedy,dp,brute")
-    p.add_argument("--seed", type=int, default=os.environ.get("LOMO_SEED", "0"))
+    p.add_argument("--instances", type=_instance_count, default=20)
+    p.add_argument("--solvers", type=_solver_list, default="greedy,dp,brute")
+    _add_seed_flag(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_infer_bench)
 
@@ -495,12 +481,24 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, list(argv))
+        started = time.time()
+        base, resolved, seed, outputs = args.func(args)
+        write_json(f"{base}.run.json", {
+            "tool": "lomo",
+            "version": __version__,
+            "argv": argv,
+            "resolved_config": resolved,
+            "seed": seed,
+            "outputs": [str(o) for o in outputs],
+            "fingerprint": config_fingerprint({"config": resolved, "seed": seed}),
+            "started_unix": started,
+            "finished_unix": time.time(),
+        })
+        return 0
     except SystemExit as exc:
         return int(exc.code or 0)
     except (DataError, OSError) as exc:

@@ -244,6 +244,14 @@ def pool(sample: SequenceSample, mode: str = "mean") -> np.ndarray:
     return pooled
 
 
+def check_dim(model: Model, sample: SequenceSample) -> None:
+    """Raise ``DataError`` unless ``model`` and ``sample`` share a feature dimension."""
+    if model.dim != sample.dim:
+        raise DataError(
+            f"model dimension {model.dim} does not match sample dimension {sample.dim}"
+        )
+
+
 def score_fixed(
     model: Model,
     sample: SequenceSample,
@@ -256,10 +264,7 @@ def score_fixed(
     all pairs at distance >= ``t_eff`` + 1 (so any two entries are distinct
     even at ``t_eff`` = 0).
     """
-    if model.dim != sample.dim:
-        raise DataError(
-            f"model dimension {model.dim} does not match sample dimension {sample.dim}"
-        )
+    check_dim(model, sample)
     m = model.n_events
     k = tuple(int(x) for x in k)
     if len(k) != m:

@@ -35,9 +35,11 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .core import MAX_EVENTS, LatentAssignment, Model, SequenceSample, _score_placement, perm_rank
+from .core import (
+    MAX_EVENTS, LatentAssignment, Model, SequenceSample, _score_placement, check_dim, perm_rank,
+)
 from .core import score_fixed  # noqa: F401  (module attribute that tracers patch)
-from .errors import DataError, InfeasibleError
+from .errors import InfeasibleError
 
 BRUTE_FORCE_GUARD = 10**7
 
@@ -103,10 +105,7 @@ def _suffix_schedule(m: int):
 
 
 def _responses(model: Model, sample: SequenceSample) -> np.ndarray:
-    if model.dim != sample.dim:
-        raise DataError(
-            f"model dimension {model.dim} does not match sample dimension {sample.dim}"
-        )
+    check_dim(model, sample)
     return model.templates @ sample.frames.T  # (M, N)
 
 

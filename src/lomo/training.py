@@ -31,8 +31,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
-    BINARY_LABELS, MAX_EVENTS, POOL_MODES, Model, SequenceSample, _score_placement, perm_rank, pool,
-    score_fixed,
+    BINARY_LABELS, MAX_EVENTS, POOL_MODES, Model, SequenceSample, _score_placement, check_dim,
+    perm_rank, pool, score_fixed,
 )
 from .errors import DataError
 from .inference import SOLVERS
@@ -230,10 +230,7 @@ def sgd_step(
     if gamma == 1.0:
         # The placement has weight 0 in the score and in the update, so the
         # solver is skipped and the sample is scored by its global term.
-        if model.dim != sample.dim:
-            raise DataError(
-                f"model dimension {model.dim} does not match sample dimension {sample.dim}"
-            )
+        check_dim(model, sample)
         assignment = None
         total = float(np.dot(model.global_template, pool(sample, model.pooling)))
     else:

@@ -582,7 +582,8 @@ class TestEval:
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.endswith(f"lomo: error: unrecognized arguments: {unrecognized}\n")
+        assert err.startswith("usage: lomo fuse ")
+        assert err.endswith(f"lomo fuse: error: unrecognized arguments: {unrecognized}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -607,7 +608,8 @@ class TestEval:
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.endswith(f"lomo: error: unrecognized arguments: {unrecognized}\n")
+        assert err.startswith("usage: lomo eval ")
+        assert err.endswith(f"lomo eval: error: unrecognized arguments: {unrecognized}\n")
         assert not out.exists()
 
     def test_fuse_declares_only_the_flags_it_reads(self, capsys):
@@ -699,6 +701,25 @@ class TestInferBench:
         assert "--instances must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--solvers", "greedy,bogus"), ("--solvers", ","), ("--solvers", "dp,dp"),
+         ("--n", "10,x"), ("--m", "2,"), ("--t", "one")],
+        ids=["unknown-solver", "no-solver", "repeated-solver", "n", "m", "t"],
+    )
+    def test_malformed_list_flag_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "bench.csv"
+        argv = {"--n": "10", "--m": "2", "--t": "1", "--solvers": "greedy", flag: value}
+        assert main([
+            "infer-bench", *(x for item in argv.items() for x in item), "--dim", "2",
+            "--instances", "2", "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: lomo infer-bench ")
+        assert f"lomo infer-bench: error: argument {flag}: " in err
+        assert not out.exists()
+        assert not (tmp_path / "bench.csv.run.json").exists()
+
     def test_brute_skipped_when_guard_trips(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         rc = main([
@@ -714,13 +735,94 @@ class TestInferBench:
 
 
 class TestRunRecords:
-    def test_record_written_for_every_command(self, synth_dir, tmp_path):
+    KEYS = {"tool", "version", "argv", "resolved_config", "seed", "outputs", "fingerprint",
+            "started_unix", "finished_unix"}
+
+    @classmethod
+    def run(cls, base, argv):
+        """Run argv, which must succeed, and return the record at <base>.run.json."""
+        from lomo import __version__
+        from lomo.evaluation import config_fingerprint
+
+        assert main(argv) == 0
+        record = json.loads(open(f"{base}.run.json", encoding="utf-8").read())
+        assert set(record) == cls.KEYS
+        assert record["tool"] == "lomo" and record["version"] == __version__
+        assert record["argv"] == argv
+        assert record["fingerprint"] == config_fingerprint(
+            {"config": record["resolved_config"], "seed": record["seed"]})
+        assert record["started_unix"] <= record["finished_unix"]
+        return record
+
+    def test_record_written_for_every_command(self, tmp_path):
+        from dataclasses import asdict
+
+        from lomo import ModelSpec, SynthConfig, TrainConfig
+
+        data = tmp_path / "data"
+        record = self.run(data / "synth", [
+            "synth", "--out-dir", str(data), "--dim", "4", "--n-min", "8", "--n-max", "10",
+            "--m-true", "2", "--n-pos", "6", "--n-neg", "6", "--noise-sigma", "0.1",
+            "--seed", "3",
+        ])
+        assert record["outputs"] == [str(data / "train.json"), str(data / "test.json")]
+        assert record["resolved_config"] == asdict(SynthConfig(
+            dim=4, n_min=8, n_max=10, m_true=2, n_pos=6, n_neg=6, noise_sigma=0.1, seed=3))
+        assert record["seed"] == 3
+
         model = tmp_path / "m.bin"
-        assert main([
-            "train", "--manifest", str(synth_dir / "train.json"), "--model-kind", "mil",
-            "--maxiter", "30", "--out", str(model),
-        ]) == 0
-        record = json.loads((tmp_path / "m.bin.run.json").read_text())
-        assert record["tool"] == "lomo"
+        record = self.run(model, [
+            "train", "--manifest", str(data / "train.json"), "--model-kind", "mil",
+            "--maxiter", "30", "--seed", "5", "--out", str(model),
+        ])
         assert record["outputs"] == [str(model)]
-        assert "--manifest" in record["argv"]
+        mil = ModelSpec("mil", TrainConfig(maxiter=30, seed=5))
+        assert record["resolved_config"] == asdict(mil.resolved())
+        assert record["seed"] == 5
+
+        tsv = tmp_path / "p.tsv"
+        record = self.run(tsv, [
+            "predict", "--model", str(model), "--manifest", str(data / "test.json"),
+            "--solver", "dp", "--out", str(tsv),
+        ])
+        assert record["outputs"] == [str(tsv)]
+        assert record["resolved_config"] == {"model": str(model), "solver": "dp"}
+        assert record["seed"] == 5  # the seed the model was trained with
+
+        cv = tmp_path / "cv.json"
+        record = self.run(cv, [
+            "eval", "--manifest", str(data / "train.json"), "--events", "2",
+            "--coverage-t", "1", "--maxiter", "30", "--seed", "6", "--folds", "random:2",
+            "--out", str(cv),
+        ])
+        assert record["outputs"] == [str(cv)]
+        lomo = ModelSpec("lomo", TrainConfig(M=2, coverage_t=1, maxiter=30, seed=6))
+        assert record["resolved_config"] == asdict(lomo.resolved())
+        assert record["seed"] == 6
+
+        fused = tmp_path / "fused.json"
+        record = self.run(fused, [
+            "fuse", "--manifest", str(data / "test.json"), "--models", f"{model},{model}",
+            "--fusion", "zscore", "--weights", "1,2", "--seed", "7", "--out", str(fused),
+        ])
+        assert record["outputs"] == [str(fused)]
+        assert record["resolved_config"] == "fusion:zscore_weighted"
+        assert record["seed"] == 7
+
+        bench = tmp_path / "bench.csv"
+        record = self.run(bench, [
+            "infer-bench", "--n", "10,12", "--m", "2", "--t", "1", "--dim", "2",
+            "--instances", "2", "--solvers", "greedy,dp", "--seed", "8", "--out", str(bench),
+        ])
+        assert record["outputs"] == [str(bench)]
+        assert record["resolved_config"] == {"cells": 4}
+        assert record["seed"] == 8
+
+        # a command that fails writes no record
+        out = tmp_path / "failed.tsv"
+        assert main([
+            "predict", "--model", str(model), "--manifest", str(tmp_path / "missing.json"),
+            "--out", str(out),
+        ]) == 2
+        assert not out.exists()
+        assert not (tmp_path / "failed.tsv.run.json").exists()

@@ -159,6 +159,24 @@ class TestScoreFixed:
         with pytest.raises(DataError):
             score_fixed(model, make_sample([[1.0, 2.0, 3.0]]), (0,))
 
+    def test_dimension_mismatch_reads_the_same_everywhere(self):
+        from lomo import TrainConfig, infer_dp, infer_greedy, sgd_step
+
+        model = Model(templates=[[1.0, 0.0]], ordering_costs=[0.0])
+        glob = Model(templates=[[1.0, 0.0]], ordering_costs=[0.0],
+                     global_template=[0.0, 1.0], gamma_g=1.0)
+        sample = make_sample([[1.0, 2.0, 3.0]])
+        message = "model dimension 2 does not match sample dimension 3"
+        for call in (
+            lambda: score_fixed(model, sample, (0,)),
+            lambda: infer_greedy(model, sample),
+            lambda: infer_dp(model, sample),
+            lambda: sgd_step(glob, sample, TrainConfig(gamma_g=1.0)),
+        ):
+            with pytest.raises(DataError) as raised:
+                call()
+            assert str(raised.value) == message
+
     def test_separation_violation(self):
         model = Model(templates=np.eye(2), ordering_costs=[0.0, 0.0])
         sample = make_sample(np.ones((10, 2)))
