@@ -25,7 +25,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import __version__
-from .core import POOL_MODES, Model, SequenceSample, is_binary
+from .core import MAX_EVENTS, POOL_MODES, Model, SequenceSample, is_binary
 from .data import (
     MANIFEST_VERSION,
     Manifest,
@@ -111,12 +111,20 @@ def _fold_policy(text: str) -> tuple:
             f"expected random:k, group:k, logo or manifest, got {text!r}")
 
 
-def _int_list(text: str) -> list:
-    """--n, --m, --t: a comma list of integers."""
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}")
+def _int_list(minimum: int, maximum: int | None = None):
+    """--n, --m, --t: a comma list of integers, each at least ``minimum``
+    and, if given, at most ``maximum``."""
+    def parse(text: str) -> list:
+        try:
+            values = [int(x) for x in text.split(",")]
+        except ValueError:
+            values = []
+        if not values or min(values) < minimum or (maximum is not None and max(values) > maximum):
+            bound = f"of at least {minimum}" if maximum is None else f"from {minimum} to {maximum}"
+            raise argparse.ArgumentTypeError(
+                f"expected a comma list of integers {bound}, got {text!r}")
+        return values
+    return parse
 
 
 def _solver_list(text: str) -> list:
@@ -129,15 +137,15 @@ def _solver_list(text: str) -> list:
     return solvers
 
 
-def _instance_count(text: str) -> int:
-    """--instances: an integer, at least 1."""
+def _positive_int(text: str) -> int:
+    """--dim, --instances: an integer, at least 1."""
     try:
-        count = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"--instances must be at least 1, got {count}")
-    return count
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _weight_list(text: str) -> list:
@@ -333,7 +341,8 @@ def cmd_synth(args):
 def cmd_infer_bench(args):
     solvers = args.solvers
     rows = []
-    for cell_index, (n, m, t) in enumerate(itertools.product(args.n, args.m, args.t)):
+    cells = list(itertools.product(args.n, args.m, args.t))
+    for cell_index, (n, m, t) in enumerate(cells):
         rng = np.random.default_rng(derive_seed(args.seed, cell_index))
         instances = []
         for _ in range(args.instances):
@@ -405,7 +414,7 @@ def cmd_infer_bench(args):
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {len(rows)} bench rows -> {args.out}")
-    return args.out, {"cells": len(rows)}, args.seed, [args.out]
+    return args.out, {"cells": len(cells)}, args.seed, [args.out]
 
 
 def build_parser() -> _Parser:
@@ -467,11 +476,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("infer-bench", help="compare solver runtimes and score gaps")
-    p.add_argument("--n", type=_int_list, default="300", help="comma list of sequence lengths")
-    p.add_argument("--m", type=_int_list, default="3", help="comma list of event counts")
-    p.add_argument("--t", type=_int_list, default="5", help="comma list of coverage radii")
-    p.add_argument("--dim", type=int, default=1000)
-    p.add_argument("--instances", type=_instance_count, default=20)
+    p.add_argument("--n", type=_int_list(1), default="300", help="comma list of sequence lengths")
+    p.add_argument("--m", type=_int_list(1, MAX_EVENTS), default="3",
+                   help="comma list of event counts")
+    p.add_argument("--t", type=_int_list(0), default="5", help="comma list of coverage radii")
+    p.add_argument("--dim", type=_positive_int, default=1000)
+    p.add_argument("--instances", type=_positive_int, default=20)
     p.add_argument("--solvers", type=_solver_list, default="greedy,dp,brute")
     _add_seed_flag(p)
     p.add_argument("--out", required=True)

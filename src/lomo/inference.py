@@ -29,6 +29,7 @@ sequence per step and calls the solvers directly.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import List, Sequence
@@ -39,9 +40,10 @@ from .core import (
     MAX_EVENTS, LatentAssignment, Model, SequenceSample, _score_placement, check_dim, perm_rank,
 )
 from .core import score_fixed  # noqa: F401  (module attribute that tracers patch)
-from .errors import InfeasibleError
+from .errors import DataError, InfeasibleError
 
 BRUTE_FORCE_GUARD = 10**7
+BLOCK_LEAVES = 24  # orderings per deferred choice in _solve_stack
 
 
 def effective_t(n_frames: int, n_events: int, t: int) -> int:
@@ -105,8 +107,15 @@ def _suffix_schedule(m: int):
 
 
 def _responses(model: Model, sample: SequenceSample) -> np.ndarray:
+    """The (M, N) template responses, checked finite: an overflow to +-inf
+    would leave no comparable placement scores."""
     check_dim(model, sample)
-    return model.templates @ sample.frames.T  # (M, N)
+    resp = model.templates @ sample.frames.T
+    # a +-inf or NaN entry makes the sum non-finite, so a finite sum clears
+    # the matrix in one reduction; finite entries can still overflow the sum
+    if not math.isfinite(resp.sum()) and not np.isfinite(resp).all():
+        raise DataError(f"sample {sample.id!r}: template responses overflow to non-finite values")
+    return resp
 
 
 def infer_greedy(model: Model, sample: SequenceSample) -> LatentAssignment:
@@ -232,6 +241,80 @@ def infer_brute(model: Model, sample: SequenceSample) -> LatentAssignment:
     return _score_placement(model, sample, tuple(best_k), best_rank0 + 1)
 
 
+@lru_cache(maxsize=MAX_EVENTS)
+def _stack_schedule(m: int):
+    """``_suffix_schedule`` with its leaves cut into blocks, for ``_solve_stack``.
+
+    Consecutive leaves form blocks of ``BLOCK_LEAVES``, the last one possibly
+    shorter. Each entry is ``(j, template, row, ranks)``: at a leaf, ``row``
+    is its row in the block buffer, whose rows go in increasing rank order,
+    and at a block's last leaf ``ranks`` holds the block's 0-based ranks in
+    row order; both are None elsewhere. Also returns ``_orderings``' slot
+    orders as an (M!, M) array.
+    """
+    entries = _suffix_schedule(m)
+    leaf_ranks = [rank0 for _, _, rank0 in entries if rank0 is not None]
+    blocks = [
+        sorted(leaf_ranks[start : start + BLOCK_LEAVES])
+        for start in range(0, len(leaf_ranks), BLOCK_LEAVES)
+    ]
+    schedule = []
+    leaf = 0
+    for j, tpl, rank0 in entries:
+        if rank0 is None:
+            schedule.append((j, tpl, None, None))
+            continue
+        block = blocks[leaf // BLOCK_LEAVES]
+        last_in_block = leaf % BLOCK_LEAVES == len(block) - 1
+        ranks = np.array(block, dtype=np.intp) if last_in_block else None
+        schedule.append((j, tpl, block.index(rank0), ranks))
+        leaf += 1
+    return tuple(schedule), np.array(_orderings(m)[0], dtype=np.intp)
+
+
+def _best_orderings(rows, gap: int, weighted_costs, schedule):
+    """The ordering search of ``_solve_stack``: each sequence's best 0-based
+    permutation rank."""
+    m, length, size = rows.shape
+    if m == 1:
+        return np.zeros(size, dtype=np.intp)
+    last = m - 1
+    width = length - gap  # effective_t keeps gap < L whenever M >= 2
+    # later[t][q]: the best entry of row t from frame gap + q on, max(rows[t][gap + q:])
+    later = np.ascontiguousarray(np.maximum.accumulate(rows[:, ::-1][:, :width], axis=1)[:, ::-1])
+    runs = np.empty((m, width, size))  # runs[j]: running maximum of slot j's stage, j >= 2
+    stage = np.full((width, size), -np.inf)  # no later slot fits in the first gap rows
+    totals = np.empty((width, size))
+    block = np.empty((BLOCK_LEAVES, size))
+    best_value = np.full(size, -np.inf)
+    best_rank0 = np.zeros(size, dtype=np.intp)
+    seq = np.arange(size)
+    for j, tpl, row, ranks in schedule:
+        if row is None:
+            if j == last:
+                current = rows[tpl][:width]
+            else:
+                np.add(rows[tpl][gap:width], runs[j + 1][: width - gap], out=stage[gap:])
+                current = stage
+            if j > 1:
+                np.maximum.accumulate(current, axis=0, out=runs[j])
+            continue
+        # a leaf directly follows its slot-1 parent, whose stage is `current`
+        np.add(current, later[tpl], out=totals)
+        totals.max(axis=0, out=block[row])
+        if ranks is None:
+            continue
+        values = block[: len(ranks)]
+        values += weighted_costs[ranks][:, None]
+        pick = values.argmax(axis=0)  # the first maximum: the smallest rank among ties
+        value = values[pick, seq]
+        rank0 = ranks[pick]
+        better = (value > best_value) | ((value == best_value) & (rank0 < best_rank0))
+        np.copyto(best_value, value, where=better)
+        np.copyto(best_rank0, rank0, where=better)
+    return best_rank0
+
+
 def _solve_stack(rows, gap: int, weighted_costs):
     """``infer_dp``'s ordering search and backtrack for S sequences at once.
 
@@ -242,37 +325,36 @@ def _solve_stack(rows, gap: int, weighted_costs):
     parent stage, so each stage entry is the same IEEE sum ``_stage`` forms
     and every comparison comes out as in ``infer_dp``. Each stage's running
     maximum is kept per slot and shared by all the stage's children.
+
+    Slot 0, the last one filled, needs no running maximum. A slot-1 node has
+    one leaf child, of template t; with ``a = rows[t][gap:]`` and ``S1`` the
+    parent stage, the leaf's best stage-0 entry is
+
+        max_r fl(a_r + max_{q<=r} S1_q) = max_q fl(S1_q + max_{r>=q} a_r),
+
+    because ``fl(x + .)`` is monotone and float addition commutes. So the
+    reversed running maxima ``max_{r>=q} a_r`` are taken once per template,
+    not once per slot-1 node. This is exact while no row holds +inf or NaN,
+    which ``_responses`` ensures; the -inf padding stays -inf.
+
+    The ordering is chosen per block of ``BLOCK_LEAVES`` leaves, not per
+    leaf. Each leaf's value plus its cost-table entry goes into a buffer row,
+    the rows in increasing rank order; the block's winner is the first
+    maximum, so the smallest rank among ties, and it replaces the running
+    best if its value is larger, or equal with a smaller rank. That is
+    ``infer_dp``'s rule: the largest value, ties to the smallest rank.
+
     Returns each sequence's placement as a tuple and its 0-based
     permutation rank.
     """
     m, length, size = rows.shape
+    schedule, slot_orders = _stack_schedule(m)
+    best_rank0 = _best_orderings(rows, gap, weighted_costs, schedule)
     last = m - 1
-    width = max(length - gap, 0)  # effective_t keeps gap < L whenever M >= 2
-    runs = np.empty((m, width, size))  # runs[j]: running maximum of slot j's stage on the current path
-    stage = np.full((length, size), -np.inf)  # no later slot fits in the first gap rows
-    best_value = np.full(size, -np.inf)
-    best_rank0 = np.zeros(size, dtype=np.intp)
-    for j, tpl, rank0 in _suffix_schedule(m):
-        if j == last:
-            current = rows[tpl]
-        else:
-            np.add(rows[tpl][gap:], runs[j + 1], out=stage[gap:])
-            current = stage
-        if rank0 is None:
-            np.maximum.accumulate(current[:width], axis=0, out=runs[j])
-            continue
-        value = current.max(axis=0)
-        value += weighted_costs[rank0]
-        better = value > best_value
-        # the schedule visits leaves out of rank order, so ties go to the smaller rank
-        tied = value == best_value
-        if tied.any():
-            better |= tied & (rank0 < best_rank0)
-        np.copyto(best_value, value, where=better)
-        np.copyto(best_rank0, rank0, where=better)
+    width = max(length - gap, 0)
     # Recompute the winning ordering's stages per sequence and backtrack in
     # frame order.
-    slot_templates = np.array(_orderings(m)[0], dtype=np.intp)[best_rank0]  # (S, M)
+    slot_templates = slot_orders[best_rank0]  # (S, M)
     seq = np.arange(size)
     stages = np.full((m, length, size), -np.inf)
     stages[last] = rows[slot_templates[:, last], :, seq].T

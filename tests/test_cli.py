@@ -136,6 +136,28 @@ class TestTrain:
         assert not out.exists()
         assert not (tmp_path / "x.bin.run.json").exists()
 
+    @pytest.mark.parametrize("solver", ["greedy", "dp", "brute"])
+    def test_overflowing_responses_exit_2(self, tmp_path, capsys, solver):
+        # frames near 1e200 are finite, but once a step moves the templates
+        # toward them the template responses overflow
+        from lomo import Manifest, ManifestEntry, SequenceSample, save_manifest, write_lseq
+
+        rng = np.random.default_rng(3)
+        entries = []
+        for i in range(4):
+            sid, label = f"huge{i}", 1 if i % 2 else -1
+            write_lseq(tmp_path / f"{sid}.lseq",
+                       [SequenceSample(sid, label, 1e200 * rng.standard_normal((6, 2)))])
+            entries.append(ManifestEntry(path=f"{sid}.lseq", label=label))
+        save_manifest(tmp_path / "huge.json", Manifest(1, 2, entries))
+        out = tmp_path / "huge.bin"
+        assert main([
+            "train", "--manifest", str(tmp_path / "huge.json"), "--events", "2",
+            "--coverage-t", "1", "--maxiter", "20", "--solver", solver, "--out", str(out),
+        ]) == 2
+        assert "template responses overflow to non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_short_sequences_train_with_the_default_solver(self, tmp_path, rng):
         write_manifest_of_lengths(tmp_path, [7] * 8, rng)
         # at N=7, M=3 the radius clamps to 2, and greedy's windows often
@@ -698,20 +720,25 @@ class TestInferBench:
             "infer-bench", "--n", "10", "--m", "2", "--t", "1", "--dim", "2",
             "--instances", instances, "--solvers", "greedy", "--out", str(out),
         ]) == 1
-        assert "--instances must be at least 1" in capsys.readouterr().err
+        assert f"lomo infer-bench: error: argument --instances: must be at least 1, got {instances}" \
+            in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value",
         [("--solvers", "greedy,bogus"), ("--solvers", ","), ("--solvers", "dp,dp"),
-         ("--n", "10,x"), ("--m", "2,"), ("--t", "one")],
-        ids=["unknown-solver", "no-solver", "repeated-solver", "n", "m", "t"],
+         ("--n", "10,x"), ("--m", "2,"), ("--t", "one"),
+         ("--n", "0"), ("--n", "10,-1"), ("--m", "0"), ("--m", "2,9"), ("--t", "-1"),
+         ("--dim", "0")],
+        ids=["unknown-solver", "no-solver", "repeated-solver", "n", "m", "t",
+             "zero-n", "negative-n", "zero-m", "too-many-events", "negative-t", "zero-dim"],
     )
     def test_malformed_list_flag_is_a_usage_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "bench.csv"
-        argv = {"--n": "10", "--m": "2", "--t": "1", "--solvers": "greedy", flag: value}
+        argv = {"--n": "10", "--m": "2", "--t": "1", "--dim": "2", "--solvers": "greedy",
+                flag: value}
         assert main([
-            "infer-bench", *(x for item in argv.items() for x in item), "--dim", "2",
+            "infer-bench", *(x for item in argv.items() for x in item),
             "--instances", "2", "--out", str(out),
         ]) == 1
         err = capsys.readouterr().err
@@ -719,6 +746,15 @@ class TestInferBench:
         assert f"lomo infer-bench: error: argument {flag}: " in err
         assert not out.exists()
         assert not (tmp_path / "bench.csv.run.json").exists()
+
+    def test_zero_coverage_radius_is_a_valid_cell(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert main([
+            "infer-bench", "--n", "4", "--m", "2", "--t", "0", "--dim", "2",
+            "--instances", "2", "--solvers", "greedy,dp", "--out", str(out),
+        ]) == 0
+        with open(out, newline="") as fh:
+            assert [r["t"] for r in csv.DictReader(fh)] == ["0", "0"]
 
     def test_brute_skipped_when_guard_trips(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
@@ -815,7 +851,7 @@ class TestRunRecords:
             "--instances", "2", "--solvers", "greedy,dp", "--seed", "8", "--out", str(bench),
         ])
         assert record["outputs"] == [str(bench)]
-        assert record["resolved_config"] == {"cells": 4}
+        assert record["resolved_config"] == {"cells": 2}
         assert record["seed"] == 8
 
         # a command that fails writes no record

@@ -1,10 +1,12 @@
 import gc
+import tracemalloc
 from dataclasses import astuple
 from itertools import permutations
 from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lomo import (
     DataError,
@@ -436,6 +438,81 @@ class TestSolveSet:
         with pytest.raises(expected) as batched:
             solve_set(model, samples, "dp")
         assert str(batched.value) == str(looped.value)
+
+
+class TestSolveSetSearch:
+    """solve_set's ordering search: slot 0 closed from each template's suffix
+    maxima, the winning ordering chosen once per block of leaves."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        gamma_g=st.sampled_from([0.0, 0.5, 1.0]),
+        integer=st.booleans(),
+        coverage=st.integers(0, 5),
+        spans=st.lists(st.integers(0, 30), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dp_equals_infer_dp(self, m, gamma_g, integer, coverage, spans, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 4))
+
+        def draw(*shape):
+            return rng.integers(-1, 2, shape) if integer else rng.standard_normal(shape)
+
+        model = Model(
+            templates=draw(m, d), ordering_costs=draw(factorial(m)),
+            global_template=draw(d) if gamma_g else None, gamma_g=gamma_g, coverage=coverage,
+        )
+        # at M = 6 a sequence costs infer_dp ~5 ms, so keep those sets short
+        lengths = [m + span for span in spans[: 3 if m == 6 else 6]]
+        samples = [SequenceSample(f"s{i}", 1, draw(n, d)) for i, n in enumerate(lengths)]
+        got = solve_set(model, samples, "dp")
+        want = [infer_dp(model, s) for s in samples]
+        assert [repr(a) for a in got] == [repr(a) for a in want]
+
+    def test_peak_memory_does_not_grow_with_the_orderings(self):
+        m, n, size = 7, 30, 40
+        rng = np.random.default_rng(7)
+        model = Model(templates=rng.standard_normal((m, 4)),
+                      ordering_costs=rng.standard_normal(factorial(m)), coverage=1)
+        samples = [SequenceSample(f"s{i}", 1, rng.standard_normal((n, 4))) for i in range(size)]
+        solve_set(model, samples[:1], "dp")  # build the per-M tables outside the trace
+        tracemalloc.start()
+        try:
+            solve_set(model, samples, "dp")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = m * n * size * 8  # bytes of the (M, L, S) response stack
+        # about 5 stacks are needed; one buffer row per ordering, M! x S
+        # floats, would alone take 24
+        assert peak < 20 * stack
+
+
+class TestNonFiniteResponses:
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["inf", "-inf"])
+    @pytest.mark.parametrize("solver", ["greedy", "dp", "brute"])
+    def test_overflow_is_a_data_error(self, solver, sign):
+        model = Model(templates=np.full((2, 2), 1e200), ordering_costs=np.zeros(2))
+        sample = SequenceSample("huge", 1, np.full((4, 2), sign * 1e200))
+        with pytest.raises(DataError, match="sample 'huge': template responses overflow"):
+            inference.SOLVERS[solver](model, sample)
+
+    def test_finite_responses_whose_sum_overflows_are_accepted(self):
+        model = Model(templates=np.eye(2), ordering_costs=np.zeros(2))
+        sample = SequenceSample("big", 1, np.full((4, 2), 1.5e308))
+        for solver in ("greedy", "brute"):
+            inference.SOLVERS[solver](model, sample)
+        assert repr(solve_set(model, [sample], "dp")) == repr([infer_dp(model, sample)])
+
+    def test_solve_set_names_the_first_bad_sample(self, rng):
+        model = Model(templates=np.full((2, 2), 1e200), ordering_costs=np.zeros(2))
+        samples = [SequenceSample("ok", 1, rng.standard_normal((5, 2)))] + [
+            SequenceSample(f"huge{i}", 1, np.full((5, 2), 1e200)) for i in range(2)
+        ]
+        with pytest.raises(DataError, match="sample 'huge0': template responses overflow"):
+            solve_set(model, samples, "dp")
 
 
 class TestSolverScoring:
