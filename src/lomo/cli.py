@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -191,11 +191,12 @@ def _config_from_args(cls, args):
 
 
 def cmd_train(args):
+    # flag values are checked before any file is read
+    config = _config_from_args(TrainConfig, args)
+    spec = ModelSpec(args.model_kind, config)
     samples, _ = load_dataset(args.manifest)
     if args.positive_class is not None:
         samples = one_vs_rest(samples, args.positive_class)
-    config = _config_from_args(TrainConfig, args)
-    spec = ModelSpec(args.model_kind, config)
     report = train_spec(samples, spec, solver=args.solver, trace_every=0)
     resolved = spec.resolved()
     # The last point of a full trace is this same value: the objective of
@@ -244,7 +245,8 @@ GRID_KEYS = ("lambda1", "coverage_t", "gamma_g")
 
 def _load_grid(path) -> dict:
     """A --grid file: a JSON object mapping some of GRID_KEYS to lists of
-    finite numbers, integers for coverage_t (bools are neither)."""
+    finite numbers, integers for coverage_t (bools are neither), each in the
+    range TrainConfig accepts for its key."""
     grid = load_json_object(path, "grid file")
     for key, values in grid.items():
         if key not in GRID_KEYS:
@@ -255,12 +257,18 @@ def _load_grid(path) -> dict:
         ):
             what = "finite numbers" if floats else "integers"
             raise DataError(f"grid file {path}: {key} must be a list of {what}, got {values!r}")
+        for value in values:
+            try:
+                replace(TrainConfig(), **{key: value})
+            except ValueError as exc:
+                raise DataError(f"grid file {path}: {exc}") from None
     return grid
 
 
 def cmd_eval(args):
-    samples, fold_map = load_dataset(args.manifest)
+    # flag values are checked before any file is read
     spec = ModelSpec(args.model_kind, _config_from_args(TrainConfig, args))
+    samples, fold_map = load_dataset(args.manifest)
     folds = make_folds(samples, *args.folds, seed=args.seed, manifest_folds=fold_map)
     resolved = asdict(spec.resolved())
 

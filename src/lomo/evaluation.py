@@ -19,6 +19,7 @@ import numpy as np
 from .core import SequenceSample, is_binary
 from .errors import DataError
 from .pipeline import ModelSpec, decide, predict_table, train_multiclass, train_spec
+from .training import TrainConfig
 
 METRIC_NAMES = ("acc", "avgclassacc", "map", "auc", "eer")
 
@@ -432,7 +433,8 @@ def grid_search(
 
     Ties break toward smaller lambda1, then smaller coverage_t, then smaller
     gamma_g (implemented by ascending sweeps with strict improvement).
-    Identical configurations are evaluated once and cached.
+    Points whose resolved configurations are equal, as when the model kind
+    pins gamma_g, are evaluated once and cached.
     """
     base = spec.train_config
     lambdas = sorted(grid.get("lambda1", [base.lambda1]))
@@ -441,7 +443,7 @@ def grid_search(
     if not lambdas or not coverages:
         raise ValueError("grid must contain at least one lambda1 and one coverage_t value")
 
-    cache: Dict[tuple, float] = {}
+    cache: Dict[TrainConfig, float] = {}
     rows: List[Dict] = []
 
     def sweep(stage: int, points) -> tuple:
@@ -450,12 +452,13 @@ def grid_search(
         best, best_score = None, -np.inf
         for point in points:
             lam, cov, gam = point
-            if point not in cache:
-                cfg = replace(base, lambda1=lam, coverage_t=int(cov), gamma_g=gam)
-                candidate = ModelSpec(spec.kind, cfg)
+            cfg = replace(base, lambda1=lam, coverage_t=int(cov), gamma_g=gam)
+            candidate = ModelSpec(spec.kind, cfg)
+            key = candidate.resolved()
+            if key not in cache:
                 report = cross_validate(dataset, folds, candidate, (metric,), solver)
-                cache[point] = report.aggregate[metric]
-            score = cache[point]
+                cache[key] = report.aggregate[metric]
+            score = cache[key]
             rows.append(
                 {"stage": stage, "lambda1": lam, "coverage_t": cov, "gamma_g": gam, "score": score}
             )

@@ -65,45 +65,52 @@ def effective_t(n_frames: int, n_events: int, t: int) -> int:
 
 
 @lru_cache(maxsize=MAX_EVENTS)
-def _orderings(m: int):
+def _plan(m: int):
     """The M! temporal orderings of M templates, enumerated once per M.
 
-    Returns ``(slot_orders, rank_of)``: ``slot_orders[rank0][j]`` is the
-    template in temporal slot j under the ordering of 0-based permutation
-    rank ``rank0``, and ``rank_of`` maps a slot order back to that rank.
+    Returns ``(slot_orders, slot_array, walk)``. ``slot_orders[rank0][j]`` is
+    the template in temporal slot j under the ordering of 0-based permutation
+    rank ``rank0``, and ``slot_array`` is the same table as an (M!, M) array.
+
+    ``walk`` is the trie of slot-order suffixes in depth-first order. Slots
+    are filled from the last one backwards, and the children of a node come
+    in increasing template order. Each entry is ``(j, template, rank0, row,
+    ranks)``: the node puts ``template`` in slot j. A node's parent is the
+    latest earlier entry at slot j + 1, so one stage per slot, overwritten in
+    this order, keeps each node's parent stage at hand. The last three
+    fields are None except at a leaf (j == 0), where ``rank0`` is the rank of
+    the completed ordering. Consecutive leaves form blocks of
+    ``BLOCK_LEAVES``, the last one possibly shorter: ``row`` is the leaf's
+    row in its block, whose rows go in increasing rank order, and at a
+    block's last leaf ``ranks`` holds the block's ranks in row order.
     """
     slot_orders = tuple(
         tuple(sorted(range(m), key=pattern.__getitem__)) for pattern in permutations(range(m))
     )
-    return slot_orders, {order: rank0 for rank0, order in enumerate(slot_orders)}
-
-
-@lru_cache(maxsize=MAX_EVENTS)
-def _suffix_schedule(m: int):
-    """The trie of slot-order suffixes in depth-first order, built once per M.
-
-    Slots are filled from the last one backwards, and the children of a
-    node come in increasing template order. Each entry is ``(j, template,
-    rank0)``: the node puts ``template`` in slot j, and ``rank0`` is the
-    0-based permutation rank of the completed ordering at a leaf (j == 0),
-    None elsewhere. A node's parent is the latest earlier entry at slot
-    j + 1, so one stage per slot, overwritten in this order, keeps each
-    node's parent stage at hand.
-    """
-    slot_orders, rank_of = _orderings(m)
-    schedule = []
+    rank_of = {order: rank0 for rank0, order in enumerate(slot_orders)}
+    walk = []
+    leaves = []  # walk indices of the leaves, in walk order
 
     def visit(j, suffix):
         for tpl in range(m):
             if tpl in suffix:
                 continue
             order = (tpl,) + suffix
-            schedule.append((j, tpl, rank_of[order] if j == 0 else None))
             if j:
+                walk.append((j, tpl, None, None, None))
                 visit(j - 1, order)
+            else:
+                leaves.append(len(walk))
+                walk.append((0, tpl, rank_of[order], None, None))
 
     visit(m - 1, ())
-    return tuple(schedule)
+    for start in range(0, len(leaves), BLOCK_LEAVES):
+        block = leaves[start : start + BLOCK_LEAVES]
+        ranks = sorted(walk[i][2] for i in block)
+        for i in block:
+            walk[i] = walk[i][:3] + (ranks.index(walk[i][2]), None)
+        walk[block[-1]] = walk[block[-1]][:4] + (np.array(ranks, dtype=np.intp),)
+    return slot_orders, np.array(slot_orders, dtype=np.intp), tuple(walk)
 
 
 def _responses(model: Model, sample: SequenceSample) -> np.ndarray:
@@ -116,6 +123,20 @@ def _responses(model: Model, sample: SequenceSample) -> np.ndarray:
     if not math.isfinite(resp.sum()) and not np.isfinite(resp).all():
         raise DataError(f"sample {sample.id!r}: template responses overflow to non-finite values")
     return resp
+
+
+def _scaled(model: Model, sample: SequenceSample):
+    """The stage gap ``effective_t + 1`` and the scaled responses
+    fl(fl((1 - gamma_g) / M) * resp) of the exact solvers.
+
+    The one definition of the value V they compare: a placement's scaled
+    responses summed over its slots, plus its ordering's weighted cost
+    fl((1 - gamma_g) * c). That is the blended total up to the constant
+    global term; with gamma_g == 1 every placement ties and the tie-breaking
+    rules pick rank 1 at the earliest positions.
+    """
+    gap = effective_t(sample.n_frames, model.n_events, model.coverage) + 1
+    return gap, ((1.0 - model.gamma_g) / model.n_events) * _responses(model, sample)
 
 
 def infer_greedy(model: Model, sample: SequenceSample) -> LatentAssignment:
@@ -165,23 +186,17 @@ def infer_dp(model: Model, sample: SequenceSample) -> LatentAssignment:
     across positions to the lexicographically smallest position vector,
     which is backtracked for the winning ordering only.
     """
-    t_eff = effective_t(sample.n_frames, model.n_events, model.coverage)
-    resp = _responses(model, sample)
-    m, n = resp.shape
-    gap = t_eff + 1
-    # Scale responses so the per-ordering value matches the blended total up
-    # to the constant global term; with gamma_g == 1 every placement ties
-    # and the tie-breaking rules pick rank 1 at the earliest positions.
-    local_weight = 1.0 - model.gamma_g
-    scaled = (local_weight / m) * resp
-    rows = [scaled[i].tolist() for i in range(m)]
-    weighted_costs = (local_weight * model.ordering_costs).tolist()
+    gap, scaled = _scaled(model, sample)
+    m, n = scaled.shape
+    rows = scaled.tolist()
+    weighted_costs = ((1.0 - model.gamma_g) * model.ordering_costs).tolist()
+    slot_orders, _, walk = _plan(m)
     last = m - 1
     stages = [None] * m  # stages[j]: suffix stage of slot j on the current path
     best_value = -np.inf
     best_rank0 = 0
     best_stages = None
-    for j, tpl, rank0 in _suffix_schedule(m):
+    for j, tpl, rank0, _, _ in walk:
         stages[j] = rows[tpl] if j == last else _stage(rows[tpl], stages[j + 1], n, gap)
         if rank0 is None:
             continue
@@ -190,7 +205,7 @@ def infer_dp(model: Model, sample: SequenceSample) -> LatentAssignment:
             best_value = value
             best_rank0 = rank0
             best_stages = stages[:]
-    slot_templates = _orderings(m)[0][best_rank0]
+    slot_templates = slot_orders[best_rank0]
     k = [0] * m
     pos = -gap
     for j in range(m):
@@ -206,30 +221,26 @@ def infer_brute(model: Model, sample: SequenceSample) -> LatentAssignment:
     Same tie-breaking as ``infer_dp``. Guarded: refuses instances with
     N^M above ``BRUTE_FORCE_GUARD``.
     """
-    t_eff = effective_t(sample.n_frames, model.n_events, model.coverage)
     m = model.n_events
     n = sample.n_frames
     if n**m > BRUTE_FORCE_GUARD:
         raise InfeasibleError(
             f"instance too large for brute force (N^M = {n**m} > {BRUTE_FORCE_GUARD})"
         )
-    resp = _responses(model, sample)
-    gap = t_eff + 1
+    gap, scaled = _scaled(model, sample)
     combos = np.array(
         [c for c in combinations(range(n), m) if all(c[j + 1] - c[j] >= gap for j in range(m - 1))],
         dtype=np.int64,
     )
-    local_weight = 1.0 - model.gamma_g
-    scaled = (local_weight / m) * resp
-    costs = model.ordering_costs
+    weighted_costs = (1.0 - model.gamma_g) * model.ordering_costs
     best_value = -np.inf
     best_k = None
     best_rank0 = 0
-    for rank0, slot_templates in enumerate(_orderings(m)[0]):
+    for rank0, slot_templates in enumerate(_plan(m)[0]):
         values = scaled[slot_templates[0]][combos[:, 0]].copy()
         for j in range(1, m):
             values += scaled[slot_templates[j]][combos[:, j]]
-        values += local_weight * float(costs[rank0])
+        values += weighted_costs[rank0]
         idx = int(np.argmax(values))  # combos are lexicographic, first max wins
         if values[idx] > best_value:
             best_value = float(values[idx])
@@ -241,38 +252,7 @@ def infer_brute(model: Model, sample: SequenceSample) -> LatentAssignment:
     return _score_placement(model, sample, tuple(best_k), best_rank0 + 1)
 
 
-@lru_cache(maxsize=MAX_EVENTS)
-def _stack_schedule(m: int):
-    """``_suffix_schedule`` with its leaves cut into blocks, for ``_solve_stack``.
-
-    Consecutive leaves form blocks of ``BLOCK_LEAVES``, the last one possibly
-    shorter. Each entry is ``(j, template, row, ranks)``: at a leaf, ``row``
-    is its row in the block buffer, whose rows go in increasing rank order,
-    and at a block's last leaf ``ranks`` holds the block's 0-based ranks in
-    row order; both are None elsewhere. Also returns ``_orderings``' slot
-    orders as an (M!, M) array.
-    """
-    entries = _suffix_schedule(m)
-    leaf_ranks = [rank0 for _, _, rank0 in entries if rank0 is not None]
-    blocks = [
-        sorted(leaf_ranks[start : start + BLOCK_LEAVES])
-        for start in range(0, len(leaf_ranks), BLOCK_LEAVES)
-    ]
-    schedule = []
-    leaf = 0
-    for j, tpl, rank0 in entries:
-        if rank0 is None:
-            schedule.append((j, tpl, None, None))
-            continue
-        block = blocks[leaf // BLOCK_LEAVES]
-        last_in_block = leaf % BLOCK_LEAVES == len(block) - 1
-        ranks = np.array(block, dtype=np.intp) if last_in_block else None
-        schedule.append((j, tpl, block.index(rank0), ranks))
-        leaf += 1
-    return tuple(schedule), np.array(_orderings(m)[0], dtype=np.intp)
-
-
-def _best_orderings(rows, gap: int, weighted_costs, schedule):
+def _best_orderings(rows, gap: int, weighted_costs, walk):
     """The ordering search of ``_solve_stack``: each sequence's best 0-based
     permutation rank."""
     m, length, size = rows.shape
@@ -289,7 +269,7 @@ def _best_orderings(rows, gap: int, weighted_costs, schedule):
     best_value = np.full(size, -np.inf)
     best_rank0 = np.zeros(size, dtype=np.intp)
     seq = np.arange(size)
-    for j, tpl, row, ranks in schedule:
+    for j, tpl, _, row, ranks in walk:
         if row is None:
             if j == last:
                 current = rows[tpl][:width]
@@ -348,13 +328,13 @@ def _solve_stack(rows, gap: int, weighted_costs):
     permutation rank.
     """
     m, length, size = rows.shape
-    schedule, slot_orders = _stack_schedule(m)
-    best_rank0 = _best_orderings(rows, gap, weighted_costs, schedule)
+    _, slot_array, walk = _plan(m)
+    best_rank0 = _best_orderings(rows, gap, weighted_costs, walk)
     last = m - 1
     width = max(length - gap, 0)
     # Recompute the winning ordering's stages per sequence and backtrack in
     # frame order.
-    slot_templates = slot_orders[best_rank0]  # (S, M)
+    slot_templates = slot_array[best_rank0]  # (S, M)
     seq = np.arange(size)
     stages = np.full((m, length, size), -np.inf)
     stages[last] = rows[slot_templates[:, last], :, seq].T
@@ -373,24 +353,23 @@ def _solve_stack(rows, gap: int, weighted_costs):
 
 def _solve_set_dp(model: Model, samples: Sequence[SequenceSample]) -> List[LatentAssignment]:
     m = model.n_events
-    local_weight = 1.0 - model.gamma_g
     # Check and scale every sample in input order first, so the first bad
     # sample raises what a loop of infer_dp calls would raise.
     scaled = []
     groups = {}
     for i, sample in enumerate(samples):
-        t_eff = effective_t(sample.n_frames, m, model.coverage)
-        scaled.append((local_weight / m) * _responses(model, sample))
+        gap, responses = _scaled(model, sample)
+        scaled.append(responses)
         # lengths within a factor of two share a stack, so padding at most doubles it
-        groups.setdefault((t_eff, sample.n_frames.bit_length()), []).append(i)
-    weighted_costs = local_weight * model.ordering_costs
+        groups.setdefault((gap, sample.n_frames.bit_length()), []).append(i)
+    weighted_costs = (1.0 - model.gamma_g) * model.ordering_costs
     results = [None] * len(samples)
-    for (t_eff, _), members in groups.items():
+    for (gap, _), members in groups.items():
         length = max(samples[i].n_frames for i in members)
         rows = np.full((m, length, len(members)), -np.inf)
         for s, i in enumerate(members):
             rows[:, length - samples[i].n_frames :, s] = scaled[i][:, ::-1]
-        placements, ranks0 = _solve_stack(rows, t_eff + 1, weighted_costs)
+        placements, ranks0 = _solve_stack(rows, gap, weighted_costs)
         for i, k, rank0 in zip(members, placements, ranks0):
             results[i] = _score_placement(model, samples[i], k, rank0 + 1)
     return results

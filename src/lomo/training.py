@@ -159,8 +159,9 @@ def _certifies(model: Model, sample: SequenceSample, entry) -> bool:
     ``_score_placement`` rounds it and A = g * global_score, so that a
     placement's total is T(k) = fl(A + B(k)) with the same float A for every
     k. Let L(k) be B(k) in exact arithmetic over the stored floats, with
-    lam = fl(1 - g), and V(k) the value the exact solver compares: its
-    scaled responses fl(fl(lam/M) * <w_i, x_p>) summed over the slots, plus
+    lam = fl(1 - g), and V(k) the value the exact solver compares, as
+    ``inference._scaled`` defines it for every exact solver: its scaled
+    responses fl(fl(lam/M) * <w_i, x_p>) summed over the slots, plus
     fl(lam * c). Both solvers maximize V exactly over the feasible
     placements: rounding is monotone, so ``infer_dp``'s stage
     fl(row[p] + max of later stage) is the largest rounded suffix sum, and

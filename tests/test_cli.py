@@ -96,6 +96,27 @@ class TestTrain:
         assert rc == 2
         assert "does not exist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--eta", "-1", "eta must be positive and finite, got -1.0"),
+            ("--events", "9", "M must lie in [1, 8], got 9"),
+            ("--gamma-g", "2", "gamma_g must lie in [0, 1], got 2.0"),
+        ],
+    )
+    def test_bad_flag_value_is_reported_before_the_manifest_is_read(
+        self, tmp_path, capsys, command, flag, value, message
+    ):
+        # the manifest does not exist: the flag value is checked first
+        out = tmp_path / "out.bin"
+        rc = main([
+            command, "--manifest", str(tmp_path / "missing.json"), flag, value, "--out", str(out),
+        ])
+        assert rc == 1
+        assert f"lomo: invalid arguments: {message}" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "out.bin.run.json").exists()
+
     def test_same_flags_byte_identical_models(self, synth_dir, tmp_path):
         args = [
             "train", "--manifest", str(synth_dir / "train.json"), "--model-kind", "lomo",
@@ -473,6 +494,9 @@ class TestEval:
             '{"lambda1": [true]}',
             '{"gamma_g": [NaN]}',
             '{"gamma_g": 0.5}',
+            '{"gamma_g": [0, 2]}',
+            '{"coverage_t": [-1]}',
+            '{"lambda1": [-1e-5]}',
         ],
     )
     def test_malformed_grid_file_exits_2_before_training(

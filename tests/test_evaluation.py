@@ -494,3 +494,27 @@ class TestGridSearch:
         assert all(r["score"] == 0.5 for r in result.rows)
         assert evaluated == [point[1:] for point in stage1] + [(1e-5, 0, 0.5), (1e-5, 0, 1.0)]
 
+    def test_points_with_one_resolved_config_are_evaluated_once(self, monkeypatch):
+        """LOMo pins gamma_g to 0, so the whole gamma sweep resolves to the
+        stage-1 winner's configuration: one cross-validation per stage-1
+        point, and a row per point as before."""
+        import lomo.evaluation
+
+        evaluated = []
+
+        def constant_cv(dataset, folds, spec, metrics, solver):
+            evaluated.append(spec.resolved())
+            return SimpleNamespace(aggregate={metrics[0]: 0.5})
+
+        monkeypatch.setattr(lomo.evaluation, "cross_validate", constant_cv)
+        spec = ModelSpec("LOMo", TrainConfig(M=2))
+        result = grid_search(
+            [], None, spec,
+            {"lambda1": [1e-5, 1e-3], "coverage_t": [1], "gamma_g": [0, 0.5, 1]},
+        )
+        assert len(evaluated) == 2 == len(set(evaluated))
+        assert [(r["stage"], r["gamma_g"]) for r in result.rows] == (
+            [(1, 0.0), (1, 0.0), (2, 0), (2, 0.5), (2, 1)])
+        assert all(r["score"] == 0.5 for r in result.rows)
+        assert result.best["gamma_g"] == 0
+

@@ -345,15 +345,29 @@ class TestSharedSuffixDp:
             gc.enable()
 
     def test_ordering_table_matches_perm_rank(self):
-        for m in range(1, 6):
-            slot_orders, rank_of = inference._orderings(m)
+        for m in range(1, 9):
+            slot_orders, slot_array, walk = inference._plan(m)
             assert len(slot_orders) == factorial(m)
+            assert slot_array.tolist() == [list(order) for order in slot_orders]
             for rank0, order in enumerate(slot_orders):
                 k = [0] * m
                 for slot, tpl in enumerate(order):
                     k[tpl] = slot
                 assert perm_rank(k) == rank0 + 1
-                assert rank_of[order] == rank0
+            leaves = [entry for entry in walk if entry[0] == 0]
+            # every rank is exactly one leaf, and that leaf completes its ordering
+            assert sorted(rank0 for _, _, rank0, _, _ in leaves) == list(range(factorial(m)))
+            for _, tpl, rank0, _, _ in leaves:
+                assert slot_orders[rank0][0] == tpl
+            blocks = [leaves[i : i + inference.BLOCK_LEAVES]
+                      for i in range(0, len(leaves), inference.BLOCK_LEAVES)]
+            for block in blocks:
+                ranks = block[-1][4]
+                # the block's ranks are sorted, and each leaf's row indexes its own rank
+                assert ranks.tolist() == sorted(rank0 for _, _, rank0, _, _ in block)
+                assert all(ranks[row] == rank0 for _, _, rank0, row, _ in block)
+                assert all(entry[4] is None for entry in block[:-1])
+            assert all(entry[2:] == (None, None, None) for entry in walk if entry[0] > 0)
 
 
 def set_samples(rng, model, lengths, integer):
