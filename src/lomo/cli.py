@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from . import __version__
 from .core import MAX_EVENTS, POOL_MODES, Model, SequenceSample, is_binary
 from .data import (
     MANIFEST_VERSION,
+    NEG_MODES,
     Manifest,
     ManifestEntry,
     SynthConfig,
@@ -45,6 +46,7 @@ from .evaluation import (
     cross_validate,
     grid_search,
     make_folds,
+    _check_grid,
     _score_metrics,
 )
 from .inference import BRUTE_FORCE_GUARD, SOLVERS, solve_set
@@ -165,23 +167,23 @@ def _add_seed_flag(p: _Parser) -> None:
 
 
 def _add_train_flags(p: _Parser) -> None:
-    # each dest but --model-kind's and --solver's is a TrainConfig field
+    # each dest but --model-kind's and --solver's is a TrainConfig field, absent if left out
     p.add_argument("--model-kind", default="lomo", choices=sorted(KIND_ALIASES))
-    p.add_argument("--events", dest="M", type=int, default=1, metavar="M")
-    p.add_argument("--eta", type=float, default=0.05)
-    p.add_argument("--lambda1", type=float, default=1e-5)
-    p.add_argument("--lambda2", type=float, default=0.0)
-    p.add_argument("--gamma-g", type=float, default=0.0)
-    p.add_argument("--coverage-t", type=int, default=5)
-    p.add_argument("--maxiter", type=int, default=10000)
+    p.add_argument("--events", dest="M", type=int, default=argparse.SUPPRESS, metavar="M")
+    p.add_argument("--eta", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--lambda1", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--lambda2", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--gamma-g", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--coverage-t", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--maxiter", type=int, default=argparse.SUPPRESS)
     _add_seed_flag(p)
-    p.add_argument("--pooling", choices=POOL_MODES, default="mean")
-    p.add_argument("--init-scale", type=float, default=1e-4)
+    p.add_argument("--pooling", choices=POOL_MODES, default=argparse.SUPPRESS)
+    p.add_argument("--init-scale", type=float, default=argparse.SUPPRESS)
     p.add_argument("--solver", choices=sorted(SOLVERS), default="greedy")
 
 
 def _config_from_args(cls, args):
-    """A cls (TrainConfig or SynthConfig) from the flags whose dest is one of its fields."""
+    """A cls (TrainConfig or SynthConfig) from the given flags whose dest is one of its fields."""
     flags = vars(args)
     return cls(**{f.name: flags[f.name] for f in fields(cls) if f.name in flags})
 
@@ -240,28 +242,13 @@ def cmd_predict(args):
     return args.out, {"model": str(args.model), "solver": args.solver}, loaded.seed, [args.out]
 
 
-GRID_KEYS = ("lambda1", "coverage_t", "gamma_g")
-
-
-def _load_grid(path) -> dict:
-    """A --grid file: a JSON object mapping some of GRID_KEYS to lists of
-    finite numbers, integers for coverage_t (bools are neither), each in the
-    range TrainConfig accepts for its key."""
+def _load_grid(path, spec: ModelSpec) -> dict:
+    """A --grid file: a JSON object that grid_search accepts for spec."""
     grid = load_json_object(path, "grid file")
-    for key, values in grid.items():
-        if key not in GRID_KEYS:
-            raise DataError(f"grid file {path} has unknown key {key!r}; expected {GRID_KEYS}")
-        floats = key != "coverage_t"
-        if not isinstance(values, list) or not all(
-            type(v) is int or (floats and type(v) is float and math.isfinite(v)) for v in values
-        ):
-            what = "finite numbers" if floats else "integers"
-            raise DataError(f"grid file {path}: {key} must be a list of {what}, got {values!r}")
-        for value in values:
-            try:
-                replace(TrainConfig(), **{key: value})
-            except ValueError as exc:
-                raise DataError(f"grid file {path}: {exc}") from None
+    try:
+        _check_grid(spec, grid)
+    except ValueError as exc:
+        raise DataError(f"grid file {path}: {exc}") from None
     return grid
 
 
@@ -273,7 +260,7 @@ def cmd_eval(args):
     resolved = asdict(spec.resolved())
 
     if args.grid:
-        grid = _load_grid(args.grid)
+        grid = _load_grid(args.grid, spec)
         result = grid_search(
             samples, folds, spec, grid,
             metric=args.metrics[0], solver=args.solver,
@@ -476,10 +463,9 @@ def build_parser() -> _Parser:
     p.add_argument("--m-true", type=int, required=True)
     p.add_argument("--n-pos", type=int, required=True)
     p.add_argument("--n-neg", type=int, required=True)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--neg-mode", choices=("shuffled_order", "events_absent"),
-                   default="shuffled_order")
-    p.add_argument("--min-gap", type=int, default=0)
+    p.add_argument("--noise-sigma", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--neg-mode", choices=NEG_MODES, default=argparse.SUPPRESS)
+    p.add_argument("--min-gap", type=int, default=argparse.SUPPRESS)
     _add_seed_flag(p)
     p.set_defaults(func=cmd_synth)
 
@@ -504,7 +490,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         started = time.time()
-        base, resolved, seed, outputs = args.func(args)
+        # overflowing template responses are reported as a data error, so
+        # numpy's own warnings about them would only repeat it on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            base, resolved, seed, outputs = args.func(args)
         write_json(f"{base}.run.json", {
             "tool": "lomo",
             "version": __version__,

@@ -18,7 +18,14 @@ import numpy as np
 
 from .core import SequenceSample, is_binary
 from .errors import DataError
-from .pipeline import ModelSpec, decide, predict_table, train_multiclass, train_spec
+from .pipeline import (
+    ModelSpec,
+    _one_vs_all_classes,
+    decide,
+    predict_table,
+    train_multiclass,
+    train_spec,
+)
 from .training import TrainConfig
 
 METRIC_NAMES = ("acc", "avgclassacc", "map", "auc", "eer")
@@ -357,6 +364,11 @@ def cross_validate(
             raise DataError(f"fold {fold} has no training samples")
         assert not ({s.id for s in train_set} & {s.id for s in eval_set})
         _check_fold_classes(fold, eval_set, metrics, binary)
+        if not binary:
+            try:
+                _one_vs_all_classes(train_set, class_labels)
+            except DataError as exc:
+                raise DataError(f"fold {fold} cannot train: {exc}") from None
         splits.append((train_set, eval_set))
 
     per_fold: List[Dict] = []
@@ -413,6 +425,26 @@ def cross_validate(
 # Grid search
 # ---------------------------------------------------------------------------
 
+GRID_KEYS = ("lambda1", "coverage_t", "gamma_g")
+
+
+def _check_grid(spec: ModelSpec, grid: Dict[str, Sequence]) -> None:
+    """Raise ``ValueError`` unless ``grid`` maps some of GRID_KEYS to lists of
+    finite numbers, integers for coverage_t (bools are neither), each in the
+    range the spec's TrainConfig accepts for its key."""
+    for key, values in grid.items():
+        if key not in GRID_KEYS:
+            raise ValueError(f"unknown grid key {key!r}; expected {GRID_KEYS}")
+        floats = key != "coverage_t"
+        if not isinstance(values, (list, tuple)) or not all(
+            type(v) is int or (floats and isinstance(v, float) and np.isfinite(v)) for v in values
+        ):
+            what = "finite numbers" if floats else "integers"
+            raise ValueError(f"{key} must be a list of {what}, got {values!r}")
+        for value in values:
+            replace(spec.train_config, **{key: value})
+
+
 @dataclass
 class GridSearchResult:
     metric: str
@@ -434,8 +466,10 @@ def grid_search(
     Ties break toward smaller lambda1, then smaller coverage_t, then smaller
     gamma_g (implemented by ascending sweeps with strict improvement).
     Points whose resolved configurations are equal, as when the model kind
-    pins gamma_g, are evaluated once and cached.
+    pins gamma_g, are evaluated once and cached. ``_check_grid`` vets the
+    grid before any cross-validation.
     """
+    _check_grid(spec, grid)
     base = spec.train_config
     lambdas = sorted(grid.get("lambda1", [base.lambda1]))
     coverages = sorted(grid.get("coverage_t", [base.coverage_t]))
@@ -452,7 +486,7 @@ def grid_search(
         best, best_score = None, -np.inf
         for point in points:
             lam, cov, gam = point
-            cfg = replace(base, lambda1=lam, coverage_t=int(cov), gamma_g=gam)
+            cfg = replace(base, lambda1=lam, coverage_t=cov, gamma_g=gam)
             candidate = ModelSpec(spec.kind, cfg)
             key = candidate.resolved()
             if key not in cache:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, replace
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -21,31 +21,20 @@ from .errors import DataError
 from .inference import SOLVERS, solve_set
 from .training import TrainConfig, TrainReport, train
 
-KINDS = ("MnP", "MxP", "MIL", "LOMo", "LOMo_ord0", "GTP", "MILplusGTP", "ALOMo")
-
-# CLI spellings of the preset names.
-KIND_ALIASES: Dict[str, str] = {
-    "mnp": "MnP",
-    "mxp": "MxP",
-    "mil": "MIL",
-    "lomo": "LOMo",
-    "lomo-ord0": "LOMo_ord0",
-    "gtp": "GTP",
-    "mil-gtp": "MILplusGTP",
-    "alomo": "ALOMo",
+# Each model kind: its CLI spelling and the config fields it pins regardless
+# of the user-supplied values. The order is the LOMO1 container's kind byte.
+PRESETS: Dict[str, Tuple[str, Dict]] = {
+    "MnP": ("mnp", dict(M=1, gamma_g=1.0, pooling="mean")),
+    "MxP": ("mxp", dict(M=1, gamma_g=1.0, pooling="max")),
+    "MIL": ("mil", dict(M=1, ordinal_enabled=False, gamma_g=0.0)),
+    "LOMo": ("lomo", dict(gamma_g=0.0)),
+    "LOMo_ord0": ("lomo-ord0", dict(gamma_g=0.0, ordinal_enabled=False)),
+    "GTP": ("gtp", dict(gamma_g=1.0)),
+    "MILplusGTP": ("mil-gtp", dict(M=1)),
+    "ALOMo": ("alomo", dict()),
 }
-
-# Config fields each preset pins regardless of the user-supplied values.
-_FORCED = {
-    "MnP": dict(M=1, gamma_g=1.0, pooling="mean"),
-    "MxP": dict(M=1, gamma_g=1.0, pooling="max"),
-    "MIL": dict(M=1, ordinal_enabled=False, gamma_g=0.0),
-    "LOMo": dict(gamma_g=0.0),
-    "LOMo_ord0": dict(gamma_g=0.0, ordinal_enabled=False),
-    "GTP": dict(gamma_g=1.0),
-    "MILplusGTP": dict(M=1),
-    "ALOMo": dict(),
-}
+KINDS = tuple(PRESETS)
+KIND_ALIASES: Dict[str, str] = {alias: kind for kind, (alias, _) in PRESETS.items()}
 
 
 def canonical_kind(name: str) -> str:
@@ -68,8 +57,8 @@ class ModelSpec:
         object.__setattr__(self, "kind", canonical_kind(self.kind))
 
     def resolved(self) -> TrainConfig:
-        """Training configuration with the preset's forced fields applied."""
-        return replace(self.train_config, **_FORCED[self.kind])
+        """Training configuration with the preset's pinned fields applied."""
+        return replace(self.train_config, **PRESETS[self.kind][1])
 
 
 @dataclass
@@ -115,17 +104,12 @@ def train_spec(
     return train(dataset, spec.resolved(), solver=solver, trace_every=trace_every)
 
 
-def train_multiclass(
-    dataset: Sequence[SequenceSample],
-    spec: ModelSpec,
-    class_labels: Optional[Sequence[int]] = None,
-    solver: str = "greedy",
-) -> MulticlassModel:
-    """One-vs-all reduction: each class trains a binary model against the rest.
-
-    Per-class seeds derive deterministically from the base seed and the
-    class position.
-    """
+def _one_vs_all_classes(
+    dataset: Sequence[SequenceSample], class_labels: Optional[Sequence[int]] = None
+) -> List[int]:
+    """The classes a one-vs-all training over ``dataset`` uses: ``class_labels``,
+    default the sorted distinct labels. Raises ``DataError`` unless there are
+    at least 2 and each has a sample."""
     if class_labels is None:
         class_labels = sorted({s.label for s in dataset})
     else:
@@ -139,7 +123,21 @@ def train_multiclass(
     empty = [c for c, n in counts.items() if n == 0]
     if empty:
         raise DataError(f"classes with zero samples: {empty}")
+    return class_labels
 
+
+def train_multiclass(
+    dataset: Sequence[SequenceSample],
+    spec: ModelSpec,
+    class_labels: Optional[Sequence[int]] = None,
+    solver: str = "greedy",
+) -> MulticlassModel:
+    """One-vs-all reduction: each class trains a binary model against the rest.
+
+    Per-class seeds derive deterministically from the base seed and the
+    class position.
+    """
+    class_labels = _one_vs_all_classes(dataset, class_labels)
     base = spec.resolved()
     models = []
     for ci, cls in enumerate(class_labels):

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,32 @@ class TestTrain:
         ]) == 2
         assert "template responses overflow to non-finite values" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("solver", ["greedy", "dp", "brute"])
+    def test_overflow_prints_no_numpy_warning(self, tmp_path, capsys, solver):
+        # the CI overflow step's data: finite frames near 1e200
+        from lomo import Manifest, ManifestEntry, SequenceSample, save_manifest, write_lseq
+
+        frames = {"a": (1, [[1e200, 1e200], [-1e200, 2e200], [1e200, 1e200]]),
+                  "b": (-1, [[1e200, -1e200], [1e200, 2e200], [-1e200, 1e200]])}
+        for sid, (label, rows) in frames.items():
+            write_lseq(tmp_path / f"{sid}.lseq", [SequenceSample(sid, label, np.array(rows))])
+        save_manifest(tmp_path / "m.json", Manifest(1, 2, [
+            ManifestEntry(path=f"{sid}.lseq", label=label) for sid, (label, _) in frames.items()
+        ]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([
+                "train", "--manifest", str(tmp_path / "m.json"), "--events", "2",
+                "--coverage-t", "0", "--maxiter", "20", "--solver", solver,
+                "--out", str(tmp_path / "huge.bin"),
+            ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lomo: data error: ")
+        assert "template responses overflow to non-finite values" in err
+        assert "RuntimeWarning" not in err
+        assert [str(w.message) for w in caught] == []
 
     def test_short_sequences_train_with_the_default_solver(self, tmp_path, rng):
         write_manifest_of_lengths(tmp_path, [7] * 8, rng)
@@ -702,6 +729,33 @@ class TestEval:
         assert ("data error: fold 1 cannot be scored on auc: its evaluation samples have "
                 "class counts {-1: 2, 1: 0}") in capsys.readouterr().err
         assert not out.exists()
+
+    def test_multiclass_training_fold_missing_a_class_exits_2(
+        self, tmp_path, rng, capsys, monkeypatch
+    ):
+        import lomo.evaluation
+        from lomo import Manifest, ManifestEntry, SequenceSample, save_manifest, write_lseq
+
+        entries = []
+        for i, label in enumerate([0, 0, 0, 1, 1, 1, 2]):
+            sid = f"s{i}"
+            write_lseq(tmp_path / f"{sid}.lseq",
+                       [SequenceSample(sid, label, rng.standard_normal((4, 3)))])
+            entries.append(ManifestEntry(path=f"{sid}.lseq", label=label))
+        save_manifest(tmp_path / "m.json", Manifest(1, 3, entries))
+        trained = []
+        monkeypatch.setattr(lomo.evaluation, "train_multiclass", lambda *a, **k: trained.append(a))
+        out = tmp_path / "report.json"
+        # random:3 at seed 0 holds the one class-2 sequence out in fold 1
+        rc = main([
+            "eval", "--manifest", str(tmp_path / "m.json"), "--model-kind", "mil",
+            "--maxiter", "5", "--folds", "random:3", "--seed", "0", "--out", str(out),
+        ])
+        assert rc == 2
+        assert ("lomo: data error: fold 1 cannot train: classes with zero samples: [2]"
+                in capsys.readouterr().err)
+        assert trained == []
+        assert not out.exists() and not (tmp_path / "report.json.run.json").exists()
 
     def test_cv_file_is_the_library_report(self, synth_dir, tmp_path):
         from lomo import ModelSpec, TrainConfig, cross_validate, load_dataset, make_folds

@@ -326,6 +326,24 @@ class TestCrossValidate:
         assert str(info.value).startswith(message)
         assert trained == []
 
+    def test_multiclass_training_fold_missing_a_class_is_a_data_error_before_training(
+        self, monkeypatch
+    ):
+        import lomo.evaluation
+
+        # the one class-2 sample lands in held-out fold 1, so fold 1's
+        # one-vs-all training set has no class 2
+        data = [make_sample(np.zeros((3, 2)), label, f"s{i}")
+                for i, label in enumerate([0, 0, 0, 1, 1, 1, 2])]
+        folds = make_folds(data, "random_k_fold", k=3, seed=0)
+        assert folds.assignment["s6"] == 1
+        trained = []
+        monkeypatch.setattr(lomo.evaluation, "train_multiclass", lambda *a, **k: trained.append(a))
+        with pytest.raises(DataError) as info:
+            cross_validate(data, folds, ModelSpec("MIL", TrainConfig(maxiter=5)))
+        assert str(info.value) == "fold 1 cannot train: classes with zero samples: [2]"
+        assert trained == []
+
     @pytest.mark.parametrize("search", [False, True], ids=["cross_validate", "grid_search"])
     def test_unknown_metric_rejected_before_training(self, rng, monkeypatch, search):
         import lomo.evaluation
@@ -464,6 +482,32 @@ class TestGridSearch:
         spec = ModelSpec("MIL", TrainConfig(M=1, maxiter=10, seed=1))
         with pytest.raises(ValueError):
             grid_search(data, folds, spec, {"lambda1": [], "coverage_t": [0]})
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ({"lamda1": [1e-3, 1e-1]}, "unknown grid key 'lamda1'"),
+            ({"coverage_t": [1.5]}, "coverage_t must be a list of integers, got [1.5]"),
+            ({"coverage_t": [1.0]}, "coverage_t must be a list of integers, got [1.0]"),
+            ({"lambda1": [1e-5, True]}, "lambda1 must be a list of finite numbers"),
+            ({"lambda1": [float("nan")]}, "lambda1 must be a list of finite numbers"),
+            ({"gamma_g": 0.5}, "gamma_g must be a list of finite numbers, got 0.5"),
+            ({"gamma_g": [2]}, "gamma_g must lie in [0, 1], got 2"),
+            ({"lambda1": [1e-5, 1e-3], "gamma_g": [0.5, 2]}, "gamma_g must lie in [0, 1], got 2"),
+        ],
+        ids=["misspelt-key", "fractional-coverage", "float-coverage", "bool", "nan",
+             "not-a-list", "gamma-out-of-range", "gamma-after-stage-one"],
+    )
+    def test_grid_is_checked_before_any_cross_validation(self, monkeypatch, grid, message):
+        import lomo.evaluation
+
+        evaluated = []
+        monkeypatch.setattr(lomo.evaluation, "cross_validate", lambda *a, **k: evaluated.append(a))
+        spec = ModelSpec("ALOMo", TrainConfig(M=1))
+        with pytest.raises(ValueError) as info:
+            grid_search([], None, spec, grid)
+        assert message in str(info.value)
+        assert evaluated == []
 
     def test_ties_take_smallest_values_and_cache_repeats(self, monkeypatch):
         """Every point scores the same, so the documented tie rule picks the

@@ -347,6 +347,16 @@ class TestPersistence:
         assert loaded.model.pooling == "max"
         assert loaded.model.coverage == 7
 
+    @pytest.mark.parametrize(
+        "code, kind",
+        enumerate(["MnP", "MxP", "MIL", "LOMo", "LOMo_ord0", "GTP", "MILplusGTP", "ALOMo"]),
+    )
+    def test_kind_byte(self, tmp_path, code, kind):
+        # byte 5 of a container, right after the magic, names the model kind
+        model = Model(templates=np.ones((1, 2)), ordering_costs=np.zeros(1))
+        assert self._roundtrip(tmp_path, model, kind=kind).kind == kind
+        assert (tmp_path / "model.bin").read_bytes()[5] == code
+
     def test_roundtrip_without_global(self, tmp_path, rng):
         model = Model(templates=rng.standard_normal((2, 3)), ordering_costs=np.zeros(2))
         loaded = self._roundtrip(tmp_path, model, kind="MIL")
