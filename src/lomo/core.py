@@ -15,7 +15,8 @@ Frame indices are 0-based everywhere in this package; permutation ranks are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from functools import cached_property
+from math import factorial, isfinite
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +27,16 @@ from .errors import DataError, InfeasibleError
 MAX_EVENTS = 8
 
 POOL_MODES = ("mean", "max")
+
+
+def _magnitude(a: np.ndarray) -> float:
+    """The largest absolute entry of a non-empty array, from its maximum and
+    minimum, so no temporary array is made. It is non-finite exactly when
+    some entry is: a NaN makes both extremes NaN, and +-inf makes one of
+    them infinite."""
+    hi = float(np.maximum.reduce(a, None))
+    lo = -float(np.minimum.reduce(a, None))
+    return hi if hi >= lo else lo
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,18 +62,21 @@ class SequenceSample:
                 f"sample {self.id!r}: frames must be a non-empty N x d matrix, "
                 f"got shape {frames.shape}"
             )
-        if not np.isfinite(frames).all():
+        magnitude = _magnitude(frames)
+        if not isfinite(magnitude):
             raise DataError(f"sample {self.id!r}: frames contain non-finite values")
         frames.setflags(write=False)
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "label", int(self.label))
         object.__setattr__(self, "_pooled", {})  # pooling mode -> vector, filled by pool
+        object.__setattr__(self, "_magnitude", magnitude)  # max |frames[p, j]|
 
     def relabel(self, label: int, group: Optional[str]) -> "SequenceSample":
         """The same sequence under another label and group.
 
-        Shares this sample's read-only frames and pooled-vector cache, which
-        depend on the frames alone, instead of copying and re-checking them.
+        Shares this sample's read-only frames, pooled-vector cache and
+        largest absolute entry, which depend on the frames alone, instead of
+        copying and re-checking them.
         """
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__, label=int(label), group=group)
@@ -97,6 +111,10 @@ class Model:
     nothing and ``global_template`` may be absent. ``coverage`` is the
     suppression radius t used at inference to keep the chosen frames at
     pairwise distance >= t + 1.
+
+    The largest absolute template entry is kept from the finiteness check
+    for the solvers' overflow guard, and the exact solvers' weighted cost
+    table is computed on first use (``_weighted_costs``).
     """
 
     templates: np.ndarray  # shape (M, d)
@@ -119,7 +137,8 @@ class Model:
                 f"ordering_costs must have M! = {factorial(m)} entries for M={m}, "
                 f"got {costs.shape[0]}"
             )
-        if not (np.isfinite(templates).all() and np.isfinite(costs).all()):
+        magnitude = _magnitude(templates)
+        if not (isfinite(magnitude) and np.isfinite(costs).all()):
             raise ValueError("model parameters contain non-finite values")
         if not 0.0 <= self.gamma_g <= 1.0:
             raise ValueError(f"gamma_g must lie in [0, 1], got {self.gamma_g}")
@@ -148,15 +167,19 @@ class Model:
         object.__setattr__(self, "global_template", g)
         object.__setattr__(self, "gamma_g", float(self.gamma_g))
         object.__setattr__(self, "coverage", int(self.coverage))
+        object.__setattr__(self, "_magnitude", magnitude)  # max |templates[i, j]|
 
     def _stepped(self, templates, ordering_costs, global_template) -> "Model":
         """This model with new parameters, taken over as read-only arrays.
 
         For float64 arrays with this model's shapes that a training step
         has just allocated; ``ordering_costs`` may be this model's own. Only
-        finiteness is checked, since every other field is this model's.
+        finiteness is checked, since every other field is this model's. The
+        twin is built from the fields alone, so no value cached from this
+        model's parameters carries over.
         """
-        if not (np.isfinite(templates).all() and np.isfinite(ordering_costs).all()):
+        magnitude = _magnitude(templates)
+        if not (isfinite(magnitude) and np.isfinite(ordering_costs).all()):
             raise ValueError("model parameters contain non-finite values")
         if global_template is not None:
             if not np.isfinite(global_template).all():
@@ -166,12 +189,22 @@ class Model:
         ordering_costs.setflags(write=False)
         twin = object.__new__(type(self))
         twin.__dict__.update(
-            self.__dict__,
             templates=templates,
             ordering_costs=ordering_costs,
             global_template=global_template,
+            gamma_g=self.gamma_g,
+            pooling=self.pooling,
+            coverage=self.coverage,
+            _magnitude=magnitude,
         )
         return twin
+
+    @cached_property
+    def _weighted_costs(self):
+        """The exact solvers' weighted costs fl((1 - gamma_g) * c), as an
+        array and as a list, computed on the first call per model."""
+        weighted = (1.0 - self.gamma_g) * self.ordering_costs
+        return weighted, weighted.tolist()
 
     @property
     def n_events(self) -> int:
@@ -291,15 +324,21 @@ def _score_placement(model: Model, sample: SequenceSample, k: tuple, rank: int) 
     and spacing checks, and ``rank`` is its ``perm_rank``.
     """
     m = len(k)
-    template_score = sum(float(np.dot(model.templates[i], sample.frames[k[i]])) for i in range(m)) / m
+    templates, frames = model.templates, sample.frames
+    # sum of a list, not a loop, so the float sum is the builtin's on every
+    # Python version (3.12 made it compensated)
+    template_score = sum([float(templates[i].dot(frames[k[i]])) for i in range(m)]) / m
     ordering_cost = float(model.ordering_costs[rank - 1])
     if model.global_template is not None:
-        global_score = float(np.dot(model.global_template, pool(sample, model.pooling)))
+        global_score = float(model.global_template.dot(pool(sample, model.pooling)))
     else:
         global_score = 0.0
     gamma = model.gamma_g
     total = gamma * global_score + (1.0 - gamma) * (template_score + ordering_cost)
-    return LatentAssignment(
+    # the frozen dataclass's __init__ would route each field through
+    # object.__setattr__; the fields go straight into the instance dict
+    assignment = object.__new__(LatentAssignment)
+    assignment.__dict__.update(
         k=k,
         perm_rank=rank,
         template_score=template_score,
@@ -307,3 +346,4 @@ def _score_placement(model: Model, sample: SequenceSample, k: tuple, rank: int) 
         global_score=global_score,
         total=total,
     )
+    return assignment

@@ -46,11 +46,14 @@ BRUTE_FORCE_GUARD = 10**7
 BLOCK_LEAVES = 24  # orderings per deferred choice in _solve_stack
 
 
+@lru_cache(maxsize=4096)
 def effective_t(n_frames: int, n_events: int, t: int) -> int:
     """Clamp the coverage radius so a feasible placement always exists.
 
     First caps t at floor(N / M); if M placements spaced t + 1 apart still
     do not fit in N frames, shrinks further to floor((N - M) / (M - 1)).
+    The arguments are ints and the results are memoized; a raised
+    ``InfeasibleError`` is not, so it is raised on every call.
     """
     if n_frames < n_events:
         raise InfeasibleError(
@@ -115,12 +118,28 @@ def _plan(m: int):
 
 def _responses(model: Model, sample: SequenceSample) -> np.ndarray:
     """The (M, N) template responses, checked finite: an overflow to +-inf
-    would leave no comparable placement scores."""
+    would leave no comparable placement scores.
+
+    The check is needed only when the magnitudes allow an overflow. Let a
+    and b be the largest absolute template and frame entries, which the
+    model and the sample keep from their own finiteness checks. A response
+    is a dot product of d terms, each at most a*b in magnitude, so in any
+    summation order, with or without fused multiply-adds, its computed
+    value is at most d*a*b*(1 + gamma_d), gamma_d = d*u / (1 - d*u) with
+    u = 2**-53. When fl(fl(a*b)*d) <= 1e300, d*a*b is at most
+    1e300 * (1 + u)**2 plus an underflow term far below 1, and every
+    response stays below DBL_MAX (about 1.8e308) with no entry inf or NaN.
+    Otherwise a +-inf or NaN entry makes the sum non-finite, so a finite sum
+    clears the matrix in one reduction; finite entries can still overflow
+    the sum, and then each entry is checked.
+    """
     check_dim(model, sample)
     resp = model.templates @ sample.frames.T
-    # a +-inf or NaN entry makes the sum non-finite, so a finite sum clears
-    # the matrix in one reduction; finite entries can still overflow the sum
-    if not math.isfinite(resp.sum()) and not np.isfinite(resp).all():
+    if (
+        model._magnitude * sample._magnitude * model.dim > 1e300
+        and not math.isfinite(resp.sum())
+        and not np.isfinite(resp).all()
+    ):
         raise DataError(f"sample {sample.id!r}: template responses overflow to non-finite values")
     return resp
 
@@ -189,7 +208,7 @@ def infer_dp(model: Model, sample: SequenceSample) -> LatentAssignment:
     gap, scaled = _scaled(model, sample)
     m, n = scaled.shape
     rows = scaled.tolist()
-    weighted_costs = ((1.0 - model.gamma_g) * model.ordering_costs).tolist()
+    weighted_costs = model._weighted_costs[1]
     slot_orders, _, walk = _plan(m)
     last = m - 1
     stages = [None] * m  # stages[j]: suffix stage of slot j on the current path
@@ -232,7 +251,7 @@ def infer_brute(model: Model, sample: SequenceSample) -> LatentAssignment:
         [c for c in combinations(range(n), m) if all(c[j + 1] - c[j] >= gap for j in range(m - 1))],
         dtype=np.int64,
     )
-    weighted_costs = (1.0 - model.gamma_g) * model.ordering_costs
+    weighted_costs = model._weighted_costs[0]
     best_value = -np.inf
     best_k = None
     best_rank0 = 0
@@ -362,7 +381,7 @@ def _solve_set_dp(model: Model, samples: Sequence[SequenceSample]) -> List[Laten
         scaled.append(responses)
         # lengths within a factor of two share a stack, so padding at most doubles it
         groups.setdefault((gap, sample.n_frames.bit_length()), []).append(i)
-    weighted_costs = (1.0 - model.gamma_g) * model.ordering_costs
+    weighted_costs = model._weighted_costs[0]
     results = [None] * len(samples)
     for (gap, _), members in groups.items():
         length = max(samples[i].n_frames for i in members)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import factorial, sqrt
+from math import factorial, isfinite, sqrt
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,6 +36,15 @@ from .core import (
 )
 from .errors import DataError
 from .inference import SOLVERS
+
+
+def _finite(value) -> bool:
+    """``math.isfinite``, with an int too large for a float, as a JSON grid
+    file can hold, counted as non-finite instead of raising."""
+    try:
+        return isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -63,11 +72,11 @@ class TrainConfig:
     def __post_init__(self):
         if not 1 <= self.M <= MAX_EVENTS:
             raise ValueError(f"M must lie in [1, {MAX_EVENTS}], got {self.M}")
-        if not (np.isfinite(self.eta) and self.eta > 0):
+        if not (_finite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
         for name in ("lambda1", "lambda2", "init_scale"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0):
+            if not (_finite(v) and v >= 0):
                 raise ValueError(f"{name} must be non-negative and finite, got {v}")
         if not 0.0 <= self.gamma_g <= 1.0:
             raise ValueError(f"gamma_g must lie in [0, 1], got {self.gamma_g}")

@@ -524,6 +524,7 @@ class TestEval:
             '{"gamma_g": [0, 2]}',
             '{"coverage_t": [-1]}',
             '{"lambda1": [-1e-5]}',
+            pytest.param('{"lambda1": [1' + "0" * 400 + "]}", id="int-too-large-for-a-float"),
         ],
     )
     def test_malformed_grid_file_exits_2_before_training(

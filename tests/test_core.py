@@ -125,6 +125,7 @@ class TestRelabel:
         assert pool(twin, "mean") is mean
         peak = pool(twin, "max")
         assert pool(sample, "max") is peak
+        assert twin._magnitude == sample._magnitude
 
 
 class TestScoreFixed:
@@ -254,6 +255,25 @@ class TestTypeInvariants:
             SequenceSample("x", 1, np.zeros((0, 3)))
         with pytest.raises(DataError):
             SequenceSample("x", 1, np.array([[np.nan, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_any_non_finite_entry_is_rejected_with_the_same_message(self, bad):
+        frames = np.arange(6.0).reshape(3, 2)
+        frames[1, 0] = bad
+        with pytest.raises(DataError, match="sample 'x': frames contain non-finite values"):
+            SequenceSample("x", 1, frames)
+        for templates, costs in ((frames, np.zeros(6)), (np.ones((3, 2)), [0, 1, 2, bad, 4, 5])):
+            with pytest.raises(ValueError, match="model parameters contain non-finite values"):
+                Model(templates=templates, ordering_costs=costs)
+        with pytest.raises(ValueError, match="global template contains non-finite values"):
+            Model(templates=np.ones((1, 2)), ordering_costs=[0.0], global_template=[1.0, bad])
+
+    def test_magnitude_is_the_largest_absolute_entry(self, rng):
+        for shape in ((1, 1), (7, 3), (40, 16)):
+            frames = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300)
+            assert make_sample(frames)._magnitude == np.abs(frames).max()
+            model = Model(templates=-frames[:1], ordering_costs=[0.0])
+            assert model._magnitude == np.abs(frames[0]).max()
 
     def test_sample_frames_are_immutable(self):
         s = make_sample([[1.0, 2.0]])

@@ -491,11 +491,12 @@ class TestGridSearch:
             ({"coverage_t": [1.0]}, "coverage_t must be a list of integers, got [1.0]"),
             ({"lambda1": [1e-5, True]}, "lambda1 must be a list of finite numbers"),
             ({"lambda1": [float("nan")]}, "lambda1 must be a list of finite numbers"),
+            ({"lambda1": [10**400]}, "lambda1 must be non-negative and finite, got 1000"),
             ({"gamma_g": 0.5}, "gamma_g must be a list of finite numbers, got 0.5"),
             ({"gamma_g": [2]}, "gamma_g must lie in [0, 1], got 2"),
             ({"lambda1": [1e-5, 1e-3], "gamma_g": [0.5, 2]}, "gamma_g must lie in [0, 1], got 2"),
         ],
-        ids=["misspelt-key", "fractional-coverage", "float-coverage", "bool", "nan",
+        ids=["misspelt-key", "fractional-coverage", "float-coverage", "bool", "nan", "huge-int",
              "not-a-list", "gamma-out-of-range", "gamma-after-stage-one"],
     )
     def test_grid_is_checked_before_any_cross_validation(self, monkeypatch, grid, message):

@@ -1,6 +1,6 @@
 import gc
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, asdict, astuple, replace
 from itertools import permutations
 from math import factorial
 
@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from lomo import (
     DataError,
     InfeasibleError,
+    LatentAssignment,
     Model,
     SequenceSample,
     effective_t,
@@ -125,6 +126,12 @@ class TestEffectiveT:
     def test_too_short(self):
         with pytest.raises(InfeasibleError, match="sequence shorter than number of events"):
             effective_t(2, 3, 1)
+
+    def test_too_short_raises_on_every_call(self):
+        # the results are memoized, a raised error is not
+        for _ in range(3):
+            with pytest.raises(InfeasibleError, match=r"N=2 < M=3"):
+                effective_t(2, 3, 1)
 
     def test_result_always_feasible(self, rng):
         for _ in range(300):
@@ -516,8 +523,12 @@ class TestNonFiniteResponses:
     def test_finite_responses_whose_sum_overflows_are_accepted(self):
         model = Model(templates=np.eye(2), ordering_costs=np.zeros(2))
         sample = SequenceSample("big", 1, np.full((4, 2), 1.5e308))
-        for solver in ("greedy", "brute"):
-            inference.SOLVERS[solver](model, sample)
+        # the magnitudes allow an overflow, so the responses are checked
+        assert not model._magnitude * sample._magnitude * model.dim <= 1e300
+        # every response ties, so each solver takes rank 1 at the first frames
+        want = repr(score_fixed(model, sample, (0, 1)))
+        for solver in ("greedy", "dp", "brute"):
+            assert repr(inference.SOLVERS[solver](model, sample)) == want, solver
         assert repr(solve_set(model, [sample], "dp")) == repr([infer_dp(model, sample)])
 
     def test_solve_set_names_the_first_bad_sample(self, rng):
@@ -554,6 +565,23 @@ class TestSolverScoring:
                 want = score_fixed(model, sample, got.k, t_eff=t_eff)
                 assert got == want, (trial, solve.__name__)
                 assert repr(astuple(got)) == repr(astuple(want)), (trial, solve.__name__)
+
+    def test_solver_results_are_frozen_dataclass_instances(self, rng):
+        model = Model(templates=rng.standard_normal((3, 4)), ordering_costs=rng.standard_normal(6),
+                      global_template=rng.standard_normal(4), gamma_g=0.25, coverage=1)
+        sample = SequenceSample("s", 1, rng.standard_normal((9, 4)))
+        for got in [solve(model, sample) for solve in (infer_greedy, infer_dp, infer_brute)] + (
+            solve_set(model, [sample], "dp")
+        ):
+            with pytest.raises(FrozenInstanceError):
+                got.total = 0.0
+            built = LatentAssignment(**asdict(got))
+            assert got == built and hash(got) == hash(built) and repr(got) == repr(built)
+            assert asdict(got) == {f: getattr(got, f) for f in (
+                "k", "perm_rank", "template_score", "ordering_cost", "global_score", "total"
+            )}
+            moved = replace(got, total=1.5)
+            assert type(moved) is LatentAssignment and moved.total == 1.5 and moved.k == got.k
 
 
 class TestRuntimeShape:

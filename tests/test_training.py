@@ -12,6 +12,8 @@ from lomo import (
     TrainConfig,
     fixed_assignment_gradient,
     fixed_assignment_loss,
+    infer_brute,
+    infer_dp,
     infer_greedy,
     init_model,
     objective,
@@ -19,6 +21,7 @@ from lomo import (
     save_model,
     score_fixed,
     sgd_step,
+    solve_set,
     train,
 )
 from lomo.training import _LastPlacements
@@ -26,6 +29,13 @@ from lomo.training import _LastPlacements
 
 def make_sample(frames, label=1, sid="s"):
     return SequenceSample(sid, label, np.asarray(frames, dtype=float))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("name", ["eta", "lambda1", "lambda2", "init_scale"])
+    def test_an_int_too_large_for_a_float_is_a_range_error(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be .*and finite, got 1000"):
+            TrainConfig(**{name: 10**400})
 
 
 class TestInitModel:
@@ -158,6 +168,31 @@ class TestSgdStep:
         save_model(tmp_path / "stepped.bin", stepped)
         save_model(tmp_path / "built.bin", built)
         assert (tmp_path / "stepped.bin").read_bytes() == (tmp_path / "built.bin").read_bytes()
+
+    @pytest.mark.parametrize("gamma_g", [0.0, 0.5])
+    def test_stepped_model_solves_as_a_built_one_after_its_costs_change(self, rng, gamma_g):
+        # The first model's exact solve computes its weighted cost table. The
+        # step raises rank 1's cost far above every response, so the stepped
+        # model picks rank 1 everywhere, and the first model's table carried
+        # over, all zeros, would pick by the responses instead.
+        cfg = TrainConfig(M=3, coverage_t=1, gamma_g=gamma_g, eta=5.0, lambda1=0.0)
+        model = Model(templates=np.zeros((3, 4)), ordering_costs=np.zeros(6),
+                      global_template=np.zeros(4) if gamma_g else None, gamma_g=gamma_g,
+                      coverage=1)
+        positive = make_sample(0.01 * rng.standard_normal((9, 4)))
+        samples = [make_sample(rng.standard_normal((9, 4)), sid=f"s{i}") for i in range(8)]
+        assert infer_dp(model, positive).perm_rank == 1  # every ordering ties at 0
+        stepped = sgd_step(model, positive, cfg, "dp")
+        built = Model(
+            templates=stepped.templates, ordering_costs=stepped.ordering_costs,
+            global_template=stepped.global_template, gamma_g=stepped.gamma_g,
+            pooling=stepped.pooling, coverage=stepped.coverage,
+        )
+        for solve in (infer_dp, infer_brute):
+            got = [solve(stepped, s) for s in samples]
+            assert [repr(a) for a in got] == [repr(solve(built, s)) for s in samples]
+            assert {a.perm_rank for a in got} == {1}, solve.__name__
+        assert repr(solve_set(stepped, samples, "dp")) == repr(solve_set(built, samples, "dp"))
 
     def test_non_finite_step_raises(self):
         cfg = TrainConfig(M=1, eta=10.0, coverage_t=0)
