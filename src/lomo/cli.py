@@ -39,7 +39,7 @@ from .data import (
     write_json,
     write_lseq,
 )
-from .errors import DataError, InfeasibleError, LomoError
+from .errors import DataError, LomoError
 from .evaluation import (
     METRIC_NAMES,
     config_fingerprint,
@@ -511,7 +511,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"lomo: data error: {exc}", file=sys.stderr)
         return 2
-    except (InfeasibleError, LomoError) as exc:
+    except LomoError as exc:
         print(f"lomo: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

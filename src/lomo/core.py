@@ -113,7 +113,7 @@ class Model:
     pairwise distance >= t + 1.
 
     The largest absolute template entry is kept from the finiteness check
-    for the solvers' overflow guard, and the exact solvers' weighted cost
+    for ``_product_bound``, and the exact solvers' weighted cost
     table is computed on first use (``_weighted_costs``).
     """
 
@@ -283,6 +283,20 @@ def check_dim(model: Model, sample: SequenceSample) -> None:
         raise DataError(
             f"model dimension {model.dim} does not match sample dimension {sample.dim}"
         )
+
+
+def _product_bound(model: Model, sample: SequenceSample) -> float:
+    """fl(fl(a*b)*d) for the largest absolute template entry a, the largest
+    absolute frame entry b and the dimension d, which the model and the
+    sample keep from their own finiteness checks.
+
+    For every template i and frame p, sum_j |w_ij| |x_pj| <= d*a*b exactly,
+    so this float is at least that sum up to its two roundings: at least
+    the sum times (1 - u)**2, u = 2**-53, less an underflow term far below
+    1. It is +inf when d*a*b passes DBL_MAX. The overflow guard of the
+    template responses and the certified margin of training both read it.
+    """
+    return model._magnitude * sample._magnitude * model.dim
 
 
 def score_fixed(

@@ -119,7 +119,7 @@ def auc(scores, labels) -> float:
 def roc_eer_rate(scores, labels) -> float:
     """One minus the equal error rate.
 
-    Walks the ROC vertices at distinct thresholds; when no vertex has equal
+    Sweeps the ROC vertices at distinct thresholds; when no vertex has equal
     false-positive and false-negative rates, the crossing is interpolated
     linearly between the two adjacent vertices.
     """
@@ -131,29 +131,19 @@ def roc_eer_rate(scores, labels) -> float:
         raise ValueError("equal error rate requires scores from both classes")
     order = np.argsort(-scores, kind="stable")
     s_sorted = scores[order]
-    pos_sorted = positive[order]
-    tp = fp = 0
-    prev_fpr, prev_fnr = 0.0, 1.0
-    i = 0
-    n = len(scores)
-    while i < n:
-        j = i
-        while j < n and s_sorted[j] == s_sorted[i]:
-            j += 1
-        tp += int(pos_sorted[i:j].sum())
-        fp += (j - i) - int(pos_sorted[i:j].sum())
-        fpr = fp / n_neg
-        fnr = 1.0 - tp / n_pos
-        if fpr >= fnr:
-            if fpr == fnr:
-                return 1.0 - fpr
-            denom = (fpr - prev_fpr) + (prev_fnr - fnr)
-            frac = (prev_fnr - prev_fpr) / denom
-            return 1.0 - (prev_fpr + frac * (fpr - prev_fpr))
-        prev_fpr, prev_fnr = fpr, fnr
-        i = j
-    # The final vertex has fpr == 1 >= fnr == 0, so the loop always returns.
-    raise AssertionError("unreachable: ROC sweep ended without a crossing")
+    ends = np.flatnonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))  # last of each tie group
+    tp = np.cumsum(positive[order])[ends]
+    fpr = (ends + 1 - tp) / n_neg
+    fnr = 1.0 - tp / n_pos
+    # the first vertex where fpr reaches fnr; the last one has fpr == 1 >= fnr == 0
+    i = int(np.argmax(fpr >= fnr))
+    cur_fpr, cur_fnr = float(fpr[i]), float(fnr[i])
+    if cur_fpr == cur_fnr:
+        return 1.0 - cur_fpr
+    prev_fpr, prev_fnr = (float(fpr[i - 1]), float(fnr[i - 1])) if i else (0.0, 1.0)
+    denom = (cur_fpr - prev_fpr) + (prev_fnr - cur_fnr)
+    frac = (prev_fnr - prev_fpr) / denom
+    return 1.0 - (prev_fpr + frac * (cur_fpr - prev_fpr))
 
 
 def average_class_accuracy(predictions, labels) -> float:

@@ -37,7 +37,8 @@ from typing import List, Sequence
 import numpy as np
 
 from .core import (
-    MAX_EVENTS, LatentAssignment, Model, SequenceSample, _score_placement, check_dim, perm_rank,
+    MAX_EVENTS, LatentAssignment, Model, SequenceSample, _product_bound, _score_placement,
+    check_dim, perm_rank,
 )
 from .core import score_fixed  # noqa: F401  (module attribute that tracers patch)
 from .errors import DataError, InfeasibleError
@@ -120,27 +121,26 @@ def _responses(model: Model, sample: SequenceSample) -> np.ndarray:
     """The (M, N) template responses, checked finite: an overflow to +-inf
     would leave no comparable placement scores.
 
-    The check is needed only when the magnitudes allow an overflow. Let a
-    and b be the largest absolute template and frame entries, which the
-    model and the sample keep from their own finiteness checks. A response
-    is a dot product of d terms, each at most a*b in magnitude, so in any
-    summation order, with or without fused multiply-adds, its computed
+    The check is needed only when the magnitudes allow an overflow. A
+    response is a dot product of d terms whose magnitudes sum to at most
+    d*a*b, a and b the largest absolute template and frame entries, so in
+    any summation order, with or without fused multiply-adds, its computed
     value is at most d*a*b*(1 + gamma_d), gamma_d = d*u / (1 - d*u) with
-    u = 2**-53. When fl(fl(a*b)*d) <= 1e300, d*a*b is at most
-    1e300 * (1 + u)**2 plus an underflow term far below 1, and every
-    response stays below DBL_MAX (about 1.8e308) with no entry inf or NaN.
-    Otherwise a +-inf or NaN entry makes the sum non-finite, so a finite sum
-    clears the matrix in one reduction; finite entries can still overflow
-    the sum, and then each entry is checked.
+    u = 2**-53. When R = ``_product_bound`` <= 1e300, d*a*b is at most
+    R*(1 + u)**2 plus an underflow term far below 1, and every response
+    stays below DBL_MAX (about 1.8e308) with no entry inf or NaN. Otherwise
+    the matmul and the check run with numpy's overflow warnings off: a +-inf
+    or NaN entry makes the sum non-finite, so a finite sum clears the matrix
+    in one reduction; finite entries can still overflow the sum, and then
+    each entry is checked.
     """
     check_dim(model, sample)
-    resp = model.templates @ sample.frames.T
-    if (
-        model._magnitude * sample._magnitude * model.dim > 1e300
-        and not math.isfinite(resp.sum())
-        and not np.isfinite(resp).all()
-    ):
-        raise DataError(f"sample {sample.id!r}: template responses overflow to non-finite values")
+    if _product_bound(model, sample) <= 1e300:
+        return model.templates @ sample.frames.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        resp = model.templates @ sample.frames.T
+        if not math.isfinite(resp.sum()) and not np.isfinite(resp).all():
+            raise DataError(f"sample {sample.id!r}: template responses overflow to non-finite values")
     return resp
 
 

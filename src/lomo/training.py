@@ -31,10 +31,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
-    BINARY_LABELS, MAX_EVENTS, POOL_MODES, Model, SequenceSample, _score_placement, check_dim,
-    perm_rank, pool, score_fixed,
+    BINARY_LABELS, MAX_EVENTS, POOL_MODES, Model, SequenceSample, _product_bound,
+    _score_placement, check_dim, perm_rank, pool, score_fixed,
 )
-from .errors import DataError
+from .errors import DataError, LomoError
 from .inference import SOLVERS
 
 
@@ -137,10 +137,10 @@ _UNIT_ROUNDOFF = 2.0**-53  # u, for float64 with round to nearest
 class _LastPlacements:
     """Each positive sample's last exact placement within one ``train`` call.
 
-    ``entries`` maps a sample to ``(k, perm_rank, largest frame norm)``;
-    ``certified`` counts the steps that one of them decided without a solve.
-    A placement stays feasible for the whole run, because ``effective_t``
-    depends only on the sample's length, M and the model's fixed coverage.
+    ``entries`` maps a sample to ``(k, perm_rank)``; ``certified`` counts
+    the steps that one of them decided without a solve. A placement stays
+    feasible for the whole run, because ``effective_t`` depends only on the
+    sample's length, M and the model's fixed coverage.
     """
 
     __slots__ = ("entries", "certified")
@@ -148,16 +148,6 @@ class _LastPlacements:
     def __init__(self):
         self.entries = {}
         self.certified = 0
-
-    def remember(self, sample: SequenceSample, assignment, entry) -> None:
-        """Store the placement just solved; ``entry`` is the sample's
-        previous one, or None on its first solve, which computes the norm."""
-        if entry is None:
-            f = sample.frames
-            frame_norm = sqrt(float(np.einsum("ij,ij->i", f, f).max()))
-        else:
-            frame_norm = entry[2]
-        self.entries[sample] = (assignment.k, assignment.perm_rank, frame_norm)
 
 
 def _certifies(model: Model, sample: SequenceSample, entry) -> bool:
@@ -183,9 +173,9 @@ def _certifies(model: Model, sample: SequenceSample, entry) -> bool:
     By Higham's bound, |V(k) - L(k)| and |B(k) - L(k)| are at most
     e = gamma_n * lam * (R + C), gamma_n = n*u / (1 - n*u) <= 2*n*u, where
     R >= sum_j |w_ij| |x_pj| for every template i and frame p, and
-    C >= max |c|. Cauchy-Schwarz gives R = ||W||_F * max_p ||x_p||, and
-    C = ||c||_2. Chaining, B(k*) >= L(k*) - e >= V(k*) - 2e >= V(s) - 2e
-    >= B(s) - 4e.
+    C >= max |c|. R = ``_product_bound``, d * max|w| * max|x| up to two
+    roundings, and C = ||c||_2. Chaining, B(k*) >= L(k*) - e >= V(k*) - 2e
+    >= V(s) - 2e >= B(s) - 4e.
 
     The step updates the model only if T(k*) < 1. As 1 is a float and fl
     is monotone, T(k*) >= 1 whenever A + B(k*) >= 1, which holds when
@@ -193,19 +183,17 @@ def _certifies(model: Model, sample: SequenceSample, entry) -> bool:
     A + B(s) >= (1 + delta)(1 - u)^2 >= 1 + delta - 2u(1 + delta), which is
     at least 1 + 4e when delta >= 8e + 4u; delta = 16*n*u*(lam*(R + C) + 1)
     is enough. The code doubles that to 32*n*u*(...) to cover the rounding
-    of the norms and of delta itself, whose relative error stays below 1/2
-    while (d*M + M! + d + 10) * u < 1/4. So a certified step is one whose
+    of R, of the norm and of delta itself, whose relative error stays below
+    1/2 while (d*M + M! + d + 10) * u < 1/4. So a certified step is one whose
     solve would find no violation: skipping the solve leaves the model,
     violations and trace bit for bit as they were.
     """
-    k, rank, frame_norm = entry
+    k, rank = entry
     lb = _score_placement(model, sample, k, rank).total
     if lb < 1.0:
         return False
-    w = model.templates.ravel()
     c = model.ordering_costs
-    lam = 1.0 - model.gamma_g
-    scale = lam * (sqrt(float(np.dot(w, w))) * frame_norm + sqrt(float(np.dot(c, c))))
+    scale = (1.0 - model.gamma_g) * (_product_bound(model, sample) + sqrt(float(np.dot(c, c))))
     n = model.dim + 2 * model.n_events + 4
     return lb >= 1.0 + 32.0 * n * _UNIT_ROUNDOFF * (scale + 1.0)
 
@@ -227,9 +215,9 @@ def sgd_step(
     weighted by the model's ``gamma_g``, which also scores the sample. With
     ``ordinal_enabled=False`` the cost table is left untouched.
 
-    ``train`` passes ``_last`` only for a positive sample, an exact solver
-    and ``gamma_g < 1``. The step then returns the model without solving
-    when the sample's stored placement certifies the margin, and otherwise
+    ``train`` passes ``_last`` for an exact solver and ``gamma_g < 1``. On a
+    positive sample the step then returns the model without solving when
+    the sample's stored placement certifies the margin, and otherwise
     stores the placement it solves.
     """
     y = sample.label
@@ -244,14 +232,16 @@ def sgd_step(
         assignment = None
         total = float(np.dot(model.global_template, pool(sample, model.pooling)))
     else:
-        entry = None if _last is None else _last.entries.get(sample)
-        if entry is not None and _certifies(model, sample, entry):
-            _last.certified += 1
-            return model
-        assignment = infer_fn(model, sample)
+        if _last is not None and y == 1:
+            entry = _last.entries.get(sample)
+            if entry is not None and _certifies(model, sample, entry):
+                _last.certified += 1
+                return model
+            assignment = infer_fn(model, sample)
+            _last.entries[sample] = (assignment.k, assignment.perm_rank)
+        else:
+            assignment = infer_fn(model, sample)
         total = assignment.total
-        if _last is not None:
-            _last.remember(sample, assignment, entry)
     if y * total >= 1.0:
         return model
     m = model.n_events
@@ -333,6 +323,9 @@ def train(
     sample's last solved placement is kept for this call only; a step it
     certifies calls no solver and counts in ``TrainReport.certified``. The
     model, ``violations`` and ``trace`` are those of solving every step.
+
+    A step whose update leaves a parameter non-finite raises ``LomoError``
+    naming the step and the sample.
     """
     _check_dataset(dataset, config.M)
     if trace_every is not None and trace_every < 0:
@@ -352,10 +345,10 @@ def train(
         last = _LastPlacements()
     for it in range(1, config.maxiter + 1):
         sample = dataset[int(rng.integers(n))]
-        if last is not None and sample.label == 1:
+        try:
             stepped = sgd_step(model, sample, config, solver, _last=last)
-        else:
-            stepped = sgd_step(model, sample, config, solver)
+        except ValueError as exc:
+            raise LomoError(f"training diverged at step {it} on sample {sample.id!r}: {exc}") from exc
         if stepped is not model:
             violations += 1
             model = stepped

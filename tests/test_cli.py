@@ -206,6 +206,33 @@ class TestTrain:
         assert "RuntimeWarning" not in err
         assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.parametrize("solver", ["greedy", "dp"])
+    def test_diverging_training_exits_3(self, tmp_path, capsys, solver):
+        # every flag is valid; the first violating step overflows the template
+        from lomo import Manifest, ManifestEntry, SequenceSample, save_manifest, write_lseq
+
+        frames = {"a": (1, [[1e307], [-1e307]]), "b": (-1, [[-1e307], [1e307]])}
+        for sid, (label, rows) in frames.items():
+            write_lseq(tmp_path / f"{sid}.lseq", [SequenceSample(sid, label, np.array(rows))])
+        save_manifest(tmp_path / "m.json", Manifest(1, 1, [
+            ManifestEntry(path=f"{sid}.lseq", label=label) for sid, (label, _) in frames.items()
+        ]))
+        out = tmp_path / "div.bin"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([
+                "train", "--manifest", str(tmp_path / "m.json"), "--events", "1",
+                "--coverage-t", "0", "--maxiter", "20", "--eta", "100", "--solver", solver,
+                "--out", str(out),
+            ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"lomo: training diverged at step \d+ on sample '[ab]': "
+            r"model parameters contain non-finite values\n", err)
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists() and not (tmp_path / "div.bin.run.json").exists()
+
     def test_short_sequences_train_with_the_default_solver(self, tmp_path, rng):
         write_manifest_of_lengths(tmp_path, [7] * 8, rng)
         # at N=7, M=3 the radius clamps to 2, and greedy's windows often

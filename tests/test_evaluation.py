@@ -167,6 +167,46 @@ class TestRocEerRate:
             assert 0.0 <= roc_eer_rate(scores, labels) <= 1.0
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.lists(
+            st.tuples(st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3)),
+                      st.sampled_from([-1, 1])),
+            min_size=2, max_size=40,
+        ).filter(lambda pairs: len({y for _, y in pairs}) == 2)
+    )
+    def test_matches_the_vertex_walk(self, data):
+        scores, labels = [s for s, _ in data], [y for _, y in data]
+        assert repr(roc_eer_rate(scores, labels)) == repr(_eer_rate_by_walk(scores, labels))
+
+
+def _eer_rate_by_walk(scores, labels):
+    """``roc_eer_rate`` as one Python loop over the tie groups of the sorted
+    scores, stopping at the first vertex whose FPR reaches its FNR."""
+    scores = np.asarray(scores, dtype=np.float64)
+    positive = np.asarray(labels) > 0
+    n_pos = int(positive.sum())
+    n_neg = len(scores) - n_pos
+    order = np.argsort(-scores, kind="stable")
+    s_sorted, pos_sorted = scores[order], positive[order]
+    tp = fp = 0
+    prev_fpr, prev_fnr = 0.0, 1.0
+    i = 0
+    while True:
+        j = i
+        while j < len(scores) and s_sorted[j] == s_sorted[i]:
+            j += 1
+        tp += int(pos_sorted[i:j].sum())
+        fp += (j - i) - int(pos_sorted[i:j].sum())
+        fpr, fnr = fp / n_neg, 1.0 - tp / n_pos
+        if fpr >= fnr:
+            if fpr == fnr:
+                return 1.0 - fpr
+            frac = (prev_fnr - prev_fpr) / ((fpr - prev_fpr) + (prev_fnr - fnr))
+            return 1.0 - (prev_fpr + frac * (fpr - prev_fpr))
+        prev_fpr, prev_fnr = fpr, fnr
+        i = j
+
 class TestAverageClassAccuracy:
     def test_balanced_perfect(self):
         assert average_class_accuracy([0, 1, 0, 1], [0, 1, 0, 1]) == 1.0

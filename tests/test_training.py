@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from math import factorial
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lomo import (
     DataError,
+    LomoError,
     Model,
     SequenceSample,
     TrainConfig,
@@ -205,9 +207,29 @@ class TestSgdStep:
                 sgd_step(pooled, make_sample([[1e308]]), cfg)
 
 
-def _solve_then_step(model, sample, config, solver="greedy"):
+class TestDivergence:
+    """A step whose update leaves a non-finite parameter ends training."""
+
+    def _data(self):
+        return [make_sample([[1e307], [-1e307]], 1, "a"), make_sample([[-1e307], [1e307]], -1, "b")]
+
+    @pytest.mark.parametrize("solver", ["greedy", "dp"])
+    def test_train_raises_a_lomo_error_naming_the_sample(self, solver):
+        cfg = TrainConfig(M=1, eta=100.0, coverage_t=0, maxiter=20)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(LomoError) as caught:
+                train(self._data(), cfg, solver=solver, trace_every=0)
+        assert not isinstance(caught.value, ValueError)
+        assert re.fullmatch(
+            r"training diverged at step \d+ on sample '[ab]': "
+            r"model parameters contain non-finite values", str(caught.value))
+        assert isinstance(caught.value.__cause__, ValueError)
+
+
+def _solve_then_step(model, sample, config, solver="greedy", _last=None):
     """``sgd_step`` as it was before the gamma_g == 1 shortcut: always solve,
-    then apply the placement's weight-0 update and rebuild the Model."""
+    then apply the placement's weight-0 update and rebuild the Model. At
+    gamma_g == 1 ``train`` keeps no placements, so ``_last`` is None."""
     from lomo.inference import SOLVERS
 
     y = sample.label
@@ -430,27 +452,42 @@ class TestCertifiedMargin:
             a, b = getattr(fast.model, name), getattr(slow.model, name)
             assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
-    def _margin_case(self, value):
-        """M=1, d=1: the stored placement (0,) scores exactly ``value``."""
+    def _margin_case(self, value, other=0.5):
+        """M=1, d=1: the stored placement (0,) scores exactly ``value``, and
+        the sample's other frame holds ``other``."""
         model = Model(templates=[[1.0]], ordering_costs=[0.0])
-        sample = make_sample([[value], [0.5]])
+        sample = make_sample([[value], [other]])
         last = _LastPlacements()
-        last.entries[sample] = ((0,), 1, value)
+        last.entries[sample] = ((0,), 1)
         return model, sample, last
 
     @pytest.mark.parametrize(
-        "value, certified",
-        [(1.0, False), (np.nextafter(1.0, 2.0), False), (1.0 + 1e-6, True), (2.0, True)],
-        ids=["one", "one-ulp-above", "1e-6-above", "two"],
+        "value, other, certified",
+        [(1.0, 0.5, False), (np.nextafter(1.0, 2.0), 0.5, False), (1.0 + 1e-6, 0.5, True),
+         (2.0, 0.5, True),
+         # a frame of magnitude 1e6 makes R = 1e6 and delta = 32*7*u*(R + 1)
+         # about 2.5e-8; without the R term it would be about 2.5e-14
+         (1.0 + 1e-9, -1e6, False), (1.0 + 1e-7, -1e6, True)],
+        ids=["one", "one-ulp-above", "1e-6-above", "two",
+             "1e-9-above-by-a-1e6-frame", "1e-7-above-by-a-1e6-frame"],
     )
-    def test_near_margin_placement_is_still_solved(self, monkeypatch, value, certified):
-        model, sample, last = self._margin_case(value)
+    def test_near_margin_placement_is_still_solved(self, monkeypatch, value, other, certified):
+        model, sample, last = self._margin_case(value, other)
         assert score_fixed(model, sample, (0,)).total == value
         calls = _counting_solvers(monkeypatch)
         stepped = sgd_step(model, sample, TrainConfig(M=1), "dp", _last=last)
         assert stepped is model  # no violation either way
         assert last.certified == int(certified)
         assert calls == ([] if certified else [("dp", 1)])
+        assert last.entries[sample] == ((0,), 1)
+
+    def test_negative_steps_neither_certify_nor_store(self, monkeypatch):
+        model, sample, last = self._margin_case(2.0)
+        negative = make_sample([[-2.0], [-1.5]], label=-1, sid="n")
+        calls = _counting_solvers(monkeypatch)
+        assert sgd_step(model, negative, TrainConfig(M=1), "dp", _last=last) is model
+        assert calls == [("dp", -1)]
+        assert last.certified == 0 and negative not in last.entries
 
     def test_skips_dp_calls_on_planted_data_only(self, monkeypatch):
         import lomo.training
