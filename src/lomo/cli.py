@@ -188,8 +188,9 @@ def _config_from_args(cls, args):
     return cls(**{f.name: flags[f.name] for f in fields(cls) if f.name in flags})
 
 
-# Each cmd_* returns (record base, resolved config, seed, outputs); main
-# writes the run record <base>.run.json once the command has succeeded.
+# Each cmd_* returns (record base, resolved config, seed, outputs), and
+# train also what its run did; main writes the run record <base>.run.json
+# once the command has succeeded.
 
 
 def cmd_train(args):
@@ -211,7 +212,8 @@ def cmd_train(args):
         f"violations={report.violations} certified={report.certified} objective={final_obj:.6g} "
         f"duration={report.duration_s:.2f}s -> {args.out}"
     )
-    return args.out, asdict(resolved), config.seed, [args.out]
+    counts = {"violations": report.violations, "certified": report.certified}
+    return args.out, asdict(resolved), config.seed, [args.out], counts
 
 
 def cmd_predict(args):
@@ -493,8 +495,8 @@ def main(argv=None) -> int:
         # overflowing template responses are reported as a data error, so
         # numpy's own warnings about them would only repeat it on stderr
         with np.errstate(over="ignore", invalid="ignore"):
-            base, resolved, seed, outputs = args.func(args)
-        write_json(f"{base}.run.json", {
+            base, resolved, seed, outputs, *report = args.func(args)
+        record = {
             "tool": "lomo",
             "version": __version__,
             "argv": argv,
@@ -504,7 +506,10 @@ def main(argv=None) -> int:
             "fingerprint": config_fingerprint({"config": resolved, "seed": seed}),
             "started_unix": started,
             "finished_unix": time.time(),
-        })
+        }
+        if report:  # what the run did; outside the config, so the fingerprint ignores it
+            record["report"] = report[0]
+        write_json(f"{base}.run.json", record)
         return 0
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -285,6 +285,11 @@ def check_dim(model: Model, sample: SequenceSample) -> None:
         )
 
 
+# Up to this ``_product_bound`` no template response can overflow (the
+# argument is in ``inference._responses``), so no solve can fail on one.
+_SAFE_PRODUCT_BOUND = 1e300
+
+
 def _product_bound(model: Model, sample: SequenceSample) -> float:
     """fl(fl(a*b)*d) for the largest absolute template entry a, the largest
     absolute frame entry b and the dimension d, which the model and the
@@ -339,9 +344,13 @@ def _score_placement(model: Model, sample: SequenceSample, k: tuple, rank: int) 
     """
     m = len(k)
     templates, frames = model.templates, sample.frames
-    # sum of a list, not a loop, so the float sum is the builtin's on every
-    # Python version (3.12 made it compensated)
-    template_score = sum([float(templates[i].dot(frames[k[i]])) for i in range(m)]) / m
+    # a plain left-to-right sum from 0.0, which is the builtin sum of Python
+    # 3.10 and 3.11; from 3.12 on the builtin is compensated and would move
+    # the bits of every seeded result
+    template_score = 0.0
+    for i in range(m):
+        template_score += float(templates[i].dot(frames[k[i]]))
+    template_score /= m
     ordering_cost = float(model.ordering_costs[rank - 1])
     if model.global_template is not None:
         global_score = float(model.global_template.dot(pool(sample, model.pooling)))

@@ -37,8 +37,8 @@ from typing import List, Sequence
 import numpy as np
 
 from .core import (
-    MAX_EVENTS, LatentAssignment, Model, SequenceSample, _product_bound, _score_placement,
-    check_dim, perm_rank,
+    MAX_EVENTS, LatentAssignment, Model, SequenceSample, _SAFE_PRODUCT_BOUND, _product_bound,
+    _score_placement, check_dim, perm_rank,
 )
 from .core import score_fixed  # noqa: F401  (module attribute that tracers patch)
 from .errors import DataError, InfeasibleError
@@ -135,7 +135,7 @@ def _responses(model: Model, sample: SequenceSample) -> np.ndarray:
     each entry is checked.
     """
     check_dim(model, sample)
-    if _product_bound(model, sample) <= 1e300:
+    if _product_bound(model, sample) <= _SAFE_PRODUCT_BOUND:
         return model.templates @ sample.frames.T
     with np.errstate(over="ignore", invalid="ignore"):
         resp = model.templates @ sample.frames.T

@@ -31,8 +31,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
-    BINARY_LABELS, MAX_EVENTS, POOL_MODES, Model, SequenceSample, _product_bound,
-    _score_placement, check_dim, perm_rank, pool, score_fixed,
+    BINARY_LABELS, MAX_EVENTS, POOL_MODES, Model, SequenceSample, _SAFE_PRODUCT_BOUND,
+    _product_bound, _score_placement, check_dim, perm_rank, pool, score_fixed,
 )
 from .errors import DataError, LomoError
 from .inference import SOLVERS
@@ -168,8 +168,8 @@ def _certifies(model: Model, sample: SequenceSample, entry) -> bool:
     the stored feasible s.
 
     Each term of V and B passes through one dot product of length d and at
-    most M + 4 further roundings; Python's ``sum`` of the M dots and the
-    BLAS matmul's summation order are covered by allowing n = d + 2M + 4.
+    most M + 4 further roundings; the left-to-right sum of the M dots and
+    the BLAS matmul's summation order are covered by allowing n = d + 2M + 4.
     By Higham's bound, |V(k) - L(k)| and |B(k) - L(k)| are at most
     e = gamma_n * lam * (R + C), gamma_n = n*u / (1 - n*u) <= 2*n*u, where
     R >= sum_j |w_ij| |x_pj| for every template i and frame p, and
@@ -188,12 +188,15 @@ def _certifies(model: Model, sample: SequenceSample, entry) -> bool:
     solve would find no violation: skipping the solve leaves the model,
     violations and trace bit for bit as they were.
     """
+    bound = _product_bound(model, sample)
+    if bound > _SAFE_PRODUCT_BOUND:  # a response may overflow, which only a solve reports
+        return False
     k, rank = entry
     lb = _score_placement(model, sample, k, rank).total
     if lb < 1.0:
         return False
     c = model.ordering_costs
-    scale = (1.0 - model.gamma_g) * (_product_bound(model, sample) + sqrt(float(np.dot(c, c))))
+    scale = (1.0 - model.gamma_g) * (bound + sqrt(float(np.dot(c, c))))
     n = model.dim + 2 * model.n_events + 4
     return lb >= 1.0 + 32.0 * n * _UNIT_ROUNDOFF * (scale + 1.0)
 

@@ -312,6 +312,8 @@ class TestTrain:
         assert printed == f"{report.trace[-1][1]:.6g}"
         assert f" violations={report.violations} certified={report.certified} " in out
         assert (report.certified > 0) == (solver == "dp")  # greedy never certifies
+        record = json.loads((tmp_path / "m.bin.run.json").read_text())
+        assert record["report"] == {"violations": report.violations, "certified": report.certified}
 
     def test_env_seed_fallback(self, synth_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("LOMO_SEED", "777")
@@ -881,14 +883,15 @@ class TestRunRecords:
             "started_unix", "finished_unix"}
 
     @classmethod
-    def run(cls, base, argv):
-        """Run argv, which must succeed, and return the record at <base>.run.json."""
+    def run(cls, base, argv, extra=frozenset()):
+        """Run argv, which must succeed, and return the record at <base>.run.json,
+        which holds the keys every record has plus ``extra``."""
         from lomo import __version__
         from lomo.evaluation import config_fingerprint
 
         assert main(argv) == 0
         record = json.loads(open(f"{base}.run.json", encoding="utf-8").read())
-        assert set(record) == cls.KEYS
+        assert set(record) == cls.KEYS | extra
         assert record["tool"] == "lomo" and record["version"] == __version__
         assert record["argv"] == argv
         assert record["fingerprint"] == config_fingerprint(
@@ -916,8 +919,9 @@ class TestRunRecords:
         record = self.run(model, [
             "train", "--manifest", str(data / "train.json"), "--model-kind", "mil",
             "--maxiter", "30", "--seed", "5", "--out", str(model),
-        ])
+        ], extra={"report"})
         assert record["outputs"] == [str(model)]
+        assert set(record["report"]) == {"violations", "certified"}
         mil = ModelSpec("mil", TrainConfig(maxiter=30, seed=5))
         assert record["resolved_config"] == asdict(mil.resolved())
         assert record["seed"] == 5

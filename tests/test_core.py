@@ -155,6 +155,13 @@ class TestScoreFixed:
         assert a.perm_rank == 1
         assert a.total == 3.0
 
+    def test_responses_are_summed_left_to_right_on_every_python(self):
+        # 1e16 + 1 rounds to 1e16, so a left-to-right sum is 0.0; the
+        # compensated builtin sum of Python 3.12 and later gives 1.0
+        model = Model(templates=[[1.0], [1.0], [1.0]], ordering_costs=np.zeros(6))
+        sample = make_sample([[1e16], [1.0], [-1e16]])
+        assert score_fixed(model, sample, (0, 1, 2)).template_score == 0.0
+
     def test_dimension_mismatch(self):
         model = Model(templates=[[1.0, 0.0]], ordering_costs=[0.0])
         with pytest.raises(DataError):

@@ -1,5 +1,8 @@
 import json
+import multiprocessing
+import os
 import re
+import sys
 import time
 import warnings
 from unittest import mock
@@ -504,6 +507,186 @@ class TestManifest:
                 and (e.group is None or isinstance(e.group, str))
                 for e in manifest.entries
             )
+
+
+def _write_manifest(directory, frames_list):
+    """One single-sequence LSEQ file per frame matrix, listed in m.json with
+    labels, groups and folds that vary; returns the manifest path."""
+    entries = []
+    for i, frames in enumerate(frames_list):
+        label = 1 if i % 3 else -1
+        write_lseq(directory / f"f{i}.lseq", [SequenceSample(f"id{i}", -label, frames)])
+        group = None if i % 4 == 3 else f"g{i % 2}"
+        entries.append(ManifestEntry(f"f{i}.lseq", label, group, None if i % 5 == 4 else i % 3))
+    path = directory / "m.json"
+    save_manifest(path, Manifest(1, frames_list[0].shape[1], entries))
+    return path
+
+
+def _no_child_left():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTwoProcessLoad:
+    """A manifest read by this process and one forked helper gives what a
+    serial read gives: the same samples and folds, or the same exception."""
+
+    @pytest.fixture(autouse=True)
+    def helper_on(self, monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the helper needs the fork start method")
+        monkeypatch.setattr(lomo.data, "_HELPER_MIN_BYTES", 0)
+        # two usable CPUs whatever the host has
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        self.starts = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counted_start(process):
+            self.starts.append(process)
+            return start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted_start)
+        self.monkeypatch = monkeypatch
+
+    def outcome(self, path):
+        """load_dataset's samples (every field, the frame bytes and the kept
+        magnitude) and folds, or its exception's type and text; no process
+        is left either way."""
+        try:
+            samples, folds = load_dataset(path)
+            result = ([(s.id, s.label, s.group, s.frames.shape, s.frames.tobytes(),
+                        s._magnitude) for s in samples], folds)
+        except Exception as exc:
+            result = (type(exc), str(exc))
+        _no_child_left()
+        return result
+
+    def serial_outcome(self, path):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lomo.data, "_HELPER_MIN_BYTES", float("inf"))
+            return self.outcome(path)
+
+    @pytest.mark.parametrize("count", [2, 3, 4, 5, 6, 7])
+    def test_same_samples_and_folds(self, tmp_path, count):
+        rng = np.random.default_rng(count)
+        frames = [rng.standard_normal((int(rng.integers(1, 40)), 3)) * 10.0 ** rng.integers(-5, 5)
+                  for _ in range(count)]
+        path = _write_manifest(tmp_path, frames)
+        parallel = self.outcome(path)
+        assert len(self.starts) == 1
+        assert parallel == self.serial_outcome(path)
+        assert [s[0] for s in parallel[0]] == [f"id{i}" for i in range(count)]
+
+    def _corrupt(self, path, line=4):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[line - 1] = "0.5 x 1.0\n"
+        path.write_text("".join(lines), encoding="utf-8")
+
+    @pytest.mark.parametrize("case", [
+        "bad-token-in-helper-share", "bad-files-in-both-shares", "bad-before-missing",
+        "multi-sequence-in-helper-share", "not-utf8-in-helper-share",
+        "directory-in-helper-share", "duplicate-id-across-shares",
+    ])
+    def test_same_first_error(self, tmp_path, rng, case):
+        frames = [rng.standard_normal((5, 3)) for _ in range(4)]
+        path = _write_manifest(tmp_path, frames)
+        last = tmp_path / "f3.lseq"  # the helper reads f2 and f3
+        if case == "bad-token-in-helper-share":
+            self._corrupt(last)
+            expected = f"{last}:4: unparseable number in ['0.5', 'x', '1.0']"
+        elif case == "bad-files-in-both-shares":
+            self._corrupt(tmp_path / "f1.lseq", line=5)
+            self._corrupt(last)
+            expected = f"{tmp_path / 'f1.lseq'}:5: unparseable number"
+        elif case == "bad-before-missing":
+            self._corrupt(tmp_path / "f1.lseq")
+            (tmp_path / "f2.lseq").unlink()
+            expected = f"{tmp_path / 'f1.lseq'}:4: unparseable number"
+        elif case == "multi-sequence-in-helper-share":
+            write_lseq(last, random_samples(rng, n=2, d=3))
+            expected = "manifest entries must reference single-sequence files"
+        elif case == "not-utf8-in-helper-share":
+            last.write_bytes(last.read_bytes() + b"\xff\n")
+            expected = f"{last}: not UTF-8 text"
+        elif case == "directory-in-helper-share":
+            last.unlink()
+            last.mkdir()
+            expected = "Is a directory"
+        else:
+            write_lseq(last, [SequenceSample("id0", 1, frames[3])])
+            expected = "duplicate sequence id 'id0'"
+        parallel = self.outcome(path)
+        assert parallel == self.serial_outcome(path)
+        assert expected in parallel[1]
+        assert len(self.starts) == 1
+
+    def test_a_helper_that_dies_leaves_its_files_to_this_process(self, tmp_path, rng):
+        path = _write_manifest(tmp_path, [rng.standard_normal((6, 2)) for _ in range(5)])
+        self.monkeypatch.setattr(lomo.data, "_send_files", lambda *args: os._exit(1))
+        assert self.outcome(path) == self.serial_outcome(path)
+        assert len(self.starts) == 1
+
+    def test_a_failed_fork_reads_serially(self, tmp_path, rng):
+        path = _write_manifest(tmp_path, [rng.standard_normal((6, 2)) for _ in range(3)])
+        expected = self.serial_outcome(path)
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        self.monkeypatch.setattr(os, "fork", no_fork)
+        assert self.outcome(path) == expected
+        assert len(self.starts) == 1
+
+    def test_an_interrupt_leaves_no_process(self, tmp_path, rng):
+        path = _write_manifest(tmp_path, [rng.standard_normal((6, 2)) for _ in range(4)])
+        parent = os.getpid()
+
+        def interrupted(file):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return read_lseq(file)
+
+        self.monkeypatch.setattr(lomo.data, "read_lseq", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            load_dataset(path)
+        _no_child_left()
+        assert len(self.starts) == 1
+
+    @pytest.mark.parametrize("reason", ["one-cpu", "one-file", "few-bytes"])
+    def test_serial_read_starts_no_process(self, tmp_path, rng, reason):
+        count = 1 if reason == "one-file" else 3
+        path = _write_manifest(tmp_path, [rng.standard_normal((6, 2)) for _ in range(count)])
+        if reason == "one-cpu":
+            self.monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            self.monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        elif reason == "few-bytes":
+            total = sum(os.path.getsize(tmp_path / f"f{i}.lseq") for i in range(count))
+            self.monkeypatch.setattr(lomo.data, "_HELPER_MIN_BYTES", total + 1)
+        assert self.outcome(path) == self.serial_outcome(path)
+        assert self.starts == []
+
+    def test_a_daemonic_worker_reads_alone(self, tmp_path, rng):
+        path = _write_manifest(tmp_path, [rng.standard_normal((6, 2)) for _ in range(3)])
+        expected = self.serial_outcome(path)
+
+        def work():
+            # the parent counted this worker's own start before the fork
+            sys.exit(0 if self.outcome(path) == expected and len(self.starts) == 1 else 1)
+
+        worker = multiprocessing.get_context("fork").Process(target=work, daemon=True)
+        worker.start()
+        worker.join(60)
+        assert worker.exitcode == 0
+        _no_child_left()
+
+    @pytest.mark.parametrize("sizes, split", [
+        ([1, 1], 1), ([1, 1, 1, 1], 2), ([5, 1, 1, 1, 1, 1], 1), ([1, 3], 1), ([3, 1], 1),
+        ([1, 1, 1], 1), ([2, 1, 1, 2], 2), ([1], None), ([], None),
+    ])
+    def test_the_split_balances_bytes(self, sizes, split):
+        assert lomo.data._helper_split(sizes) == split
 
 
 class TestSynthConfigValidation:

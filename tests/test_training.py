@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 from math import factorial
 
@@ -488,6 +489,21 @@ class TestCertifiedMargin:
         assert sgd_step(model, negative, TrainConfig(M=1), "dp", _last=last) is model
         assert calls == [("dp", -1)]
         assert last.certified == 0 and negative not in last.entries
+
+    def test_a_placement_whose_responses_may_overflow_is_solved(self):
+        # R = 1e300 * 1e300 overflows, so the margin would be +inf and the
+        # stored placement's +inf score would meet it; the solve raises instead
+        model = Model(templates=[[1e300]], ordering_costs=[0.0])
+        sample = make_sample([[1e300], [0.0]])
+        last = _LastPlacements()
+        last.entries[sample] = ((0,), 1)
+        with pytest.raises(DataError, match="responses overflow"):
+            infer_dp(model, sample)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="responses overflow"):
+                sgd_step(model, sample, TrainConfig(M=1), "dp", _last=last)
+        assert last.certified == 0
 
     def test_skips_dp_calls_on_planted_data_only(self, monkeypatch):
         import lomo.training
