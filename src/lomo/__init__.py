@@ -43,7 +43,6 @@ from .evaluation import (
     roc_eer_rate,
 )
 from .inference import (
-    BRUTE_FORCE_GUARD,
     effective_t,
     infer_brute,
     infer_dp,
@@ -57,7 +56,6 @@ from .pipeline import (
     ModelSpec,
     MulticlassModel,
     decide,
-    derive_seed,
     late_fusion,
     load_model,
     predict,
@@ -80,7 +78,6 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BRUTE_FORCE_GUARD",
     "DataError",
     "EvalReport",
     "FoldSpec",
@@ -106,7 +103,6 @@ __all__ = [
     "average_precision",
     "cross_validate",
     "decide",
-    "derive_seed",
     "effective_t",
     "fixed_assignment_gradient",
     "fixed_assignment_loss",

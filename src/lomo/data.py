@@ -370,11 +370,12 @@ def _read_files(paths: List[str], sizes: List[int]):
     """Yield ``read_lseq(path)`` for each of ``paths``, in order.
 
     When ``_helper_split`` allows, a forked helper reads the back part of
-    the files while this process reads the front part, and then hands over
-    what it loaded. The helper stops at its first failure, and this process
-    reads that file, and any file a helper that died did not deliver,
-    itself: every result and exception is the one reading the files here
-    one by one would give. No helper outlives the generator's close.
+    the files while this process reads the front part, and then hands back
+    the samples it loaded as one pickle per file. The helper stops at its
+    first failure, and this process reads that file, and any file a helper
+    that died did not deliver, itself: every result and exception is the
+    one reading the files here one by one would give. No helper outlives
+    the generator's close.
     """
     split = _helper_split(sizes)
     started = None if split is None else _start_helper(paths[split:])
@@ -415,8 +416,14 @@ def _start_helper(paths: List[str]):
 
 def _send_files(paths: List[str], read_end: int, write_end: int) -> None:
     """The helper's body: read ``paths`` in order up to the first failure,
-    then write the (id, label, group, shape) of every loaded sample as one
-    pickle, followed by the raw bytes of each sample's frames."""
+    then write each loaded file's samples as one protocol-5 pickle, which
+    carries every frame array's bytes as they are.
+
+    Nothing is written before the whole share is parsed. The parent reads
+    the pipe only once it has parsed its own share, so a helper that wrote
+    as it parsed would block on the pipe's 64 KiB until then, and the two
+    processes would no longer parse at once.
+    """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # so that terminate() always ends it
     os.close(read_end)
@@ -427,29 +434,19 @@ def _send_files(paths: List[str], read_end: int, write_end: int) -> None:
     except Exception:  # the parent reads this file again and raises what it raises
         pass
     with open(write_end, "wb") as out:
-        pickle.dump([[(s.id, s.label, s.group, s.frames.shape) for s in f] for f in files], out)
         for loaded in files:
-            for sample in loaded:
-                out.write(sample.frames)  # C-contiguous float64
+            pickle.dump(loaded, out, protocol=5)
 
 
 def _receive(incoming) -> List[List[SequenceSample]]:
-    """The files the helper loaded, in order. Each sample's frames are read
-    straight into a fresh array; the list stops short where a helper that
-    died left the stream unfinished."""
+    """The files the helper loaded, in order, unpickled as the helper built
+    and checked them (no other process writes to the pipe): each sample's
+    frames are a read-only view of the bytes read. The list stops short
+    where a helper that died left the stream unfinished."""
     files = []
-    try:
-        header = pickle.load(incoming)
-        for metas in header:
-            loaded = []
-            for sid, label, group, shape in metas:
-                frames = np.empty(shape)
-                if incoming.readinto(frames) != frames.nbytes:
-                    return files
-                loaded.append(SequenceSample(id=sid, label=label, frames=frames, group=group))
-            files.append(loaded)
-    except (EOFError, pickle.UnpicklingError):
-        pass
+    with contextlib.suppress(EOFError, pickle.UnpicklingError):
+        while True:
+            files.append(pickle.load(incoming))
     return files
 
 

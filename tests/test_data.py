@@ -1,6 +1,9 @@
+import io
+import itertools
 import json
 import multiprocessing
 import os
+import pickle
 import re
 import sys
 import time
@@ -17,9 +20,11 @@ from lomo import (
     InfeasibleError,
     Manifest,
     ManifestEntry,
+    Model,
     SequenceSample,
     SynthConfig,
     generate_synthetic,
+    infer_dp,
     load_dataset,
     load_manifest,
     read_lseq,
@@ -214,6 +219,16 @@ class TestLseqErrors:
         bad = SequenceSample("has space", 1, rng.standard_normal((2, 2)))
         with pytest.raises(DataError, match="whitespace"):
             write_lseq(tmp_path / "w.lseq", [bad])
+
+    def test_write_rejects_an_empty_list(self, tmp_path):
+        with pytest.raises(DataError, match="^refusing to write an empty LSEQ file$"):
+            write_lseq(tmp_path / "w.lseq", [])
+
+    def test_write_rejects_mixed_dimensions(self, tmp_path, rng):
+        samples = [SequenceSample("a", 1, rng.standard_normal((2, 2))),
+                   SequenceSample("b", -1, rng.standard_normal((2, 3)))]
+        with pytest.raises(DataError, match="^sample 'b' has dimension 3, file has 2$"):
+            write_lseq(tmp_path / "w.lseq", samples)
 
 
 def _table_file(position, row=None, cut=False):
@@ -445,6 +460,24 @@ class TestManifest:
         with pytest.raises(DataError, match="single-sequence"):
             load_dataset(tmp_path / "m.json")
 
+    def test_file_dimension_differs_from_the_manifest(self, tmp_path, rng):
+        path = self._write_dataset(tmp_path, rng, [1, -1])
+        payload = json.loads(path.read_text())
+        payload["dim"] = 3
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError) as info:
+            load_dataset(path)
+        assert str(info.value) == (
+            f"{tmp_path / 'seq0.lseq'}: dimension 2 does not match manifest dimension 3"
+        )
+
+    def test_no_entries(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"version": 1, "dim": 2, "entries": []}))
+        with pytest.raises(DataError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"manifest {path} lists no entries"
+
     def test_loaded_samples_share_the_parsed_frames(self, tmp_path, rng, monkeypatch):
         path = self._write_dataset(tmp_path, rng, [1, -1])
         parsed = []
@@ -627,6 +660,62 @@ class TestTwoProcessLoad:
         self.monkeypatch.setattr(lomo.data, "_send_files", lambda *args: os._exit(1))
         assert self.outcome(path) == self.serial_outcome(path)
         assert len(self.starts) == 1
+
+    def delivered(self):
+        """Record every list of files this process receives from a helper."""
+        received = []
+        receive = lomo.data._receive
+
+        def recording_receive(incoming):
+            received.append(receive(incoming))
+            return received[-1]
+
+        self.monkeypatch.setattr(lomo.data, "_receive", recording_receive)
+        return received
+
+    def test_a_helper_that_dies_mid_pickle_delivers_the_whole_pickles(self, tmp_path, rng):
+        path = _write_manifest(tmp_path, [rng.standard_normal((6, 2)) for _ in range(6)])
+
+        def dies_mid_pickle(paths, read_end, write_end):
+            os.close(read_end)
+            first, second = (pickle.dumps(read_lseq(p), protocol=5) for p in paths[:2])
+            with open(write_end, "wb") as out:
+                out.write(first + second[:len(second) // 2])
+            os._exit(1)
+
+        self.monkeypatch.setattr(lomo.data, "_send_files", dies_mid_pickle)
+        received = self.delivered()
+        assert self.outcome(path) == self.serial_outcome(path)
+        assert len(self.starts) == 1
+        assert [[s.id for s in f] for f in received[0]] == [["id3"]]  # the helper read f3-f5
+
+    def test_a_cut_stream_yields_every_whole_pickle_before_the_cut(self, rng):
+        files = [[SequenceSample(f"c{i}", 1, rng.standard_normal((i + 1, 3)), group="g")]
+                 for i in range(3)]
+        pickles = [pickle.dumps(loaded, protocol=5) for loaded in files]
+        ends = list(itertools.accumulate(map(len, pickles)))
+        stream = b"".join(pickles)
+        for cut in range(len(stream) + 1):
+            received = lomo.data._receive(io.BytesIO(stream[:cut]))
+            whole = sum(end <= cut for end in ends)
+            assert [[(s.id, s.group, s.frames.tobytes()) for s in f] for f in received] == [
+                [(s.id, s.group, s.frames.tobytes()) for s in f] for f in files[:whole]
+            ]
+
+    def test_delivered_frames_are_read_only_and_solve_alike(self, tmp_path, rng):
+        path = _write_manifest(tmp_path, [rng.standard_normal((8, 3)) for _ in range(4)])
+        received = self.delivered()
+        load_dataset(path)
+        helper_samples = [s for f in received[0] for s in f]
+        assert [s.id for s in helper_samples] == ["id2", "id3"]
+        model = Model(templates=rng.standard_normal((2, 3)), ordering_costs=[0.5, -0.25],
+                      global_template=rng.standard_normal(3), gamma_g=0.3, coverage=1)
+        for sample in helper_samples:
+            frames = sample.frames
+            assert frames.dtype == np.float64
+            assert frames.flags.c_contiguous and not frames.flags.writeable
+            (serial,) = read_lseq(tmp_path / f"f{sample.id[2:]}.lseq")
+            assert infer_dp(model, sample) == infer_dp(model, serial)
 
     def test_a_failed_fork_reads_serially(self, tmp_path, rng):
         path = _write_manifest(tmp_path, [rng.standard_normal((6, 2)) for _ in range(3)])

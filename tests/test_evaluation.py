@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lomo import (
     DataError,
+    FoldSpec,
     ModelSpec,
     SequenceSample,
     SynthConfig,
@@ -282,6 +283,35 @@ class TestMakeFolds:
         with pytest.raises(DataError, match="unique"):
             make_folds(samples, "random_k_fold", k=2, seed=0)
 
+    @pytest.mark.parametrize(
+        "policy, k, message",
+        [
+            ("random_k_fold", None, "random_k_fold needs 2 <= k <= 6, got None"),
+            ("random_k_fold", 1, "random_k_fold needs 2 <= k <= 6, got 1"),
+            ("random_k_fold", 7, "random_k_fold needs 2 <= k <= 6, got 7"),
+            ("group_k_fold", None, "group_k_fold needs 2 <= k <= number of groups (3)"),
+            ("group_k_fold", 1, "group_k_fold needs 2 <= k <= number of groups (3)"),
+            ("group_k_fold", 4, "group_k_fold needs 2 <= k <= number of groups (3)"),
+        ],
+    )
+    def test_out_of_range_k_rejected(self, rng, policy, k, message):
+        samples = self._samples(rng, n=6, groups=["a", "b", "c"])
+        with pytest.raises(ValueError) as info:
+            make_folds(samples, policy, k=k, seed=0)
+        assert str(info.value) == message
+
+    def test_fixed_from_manifest_needs_the_mapping(self, rng):
+        with pytest.raises(ValueError) as info:
+            make_folds(self._samples(rng, n=4), "fixed_from_manifest")
+        assert str(info.value) == "fixed_from_manifest requires the manifest fold mapping"
+
+    def test_fixed_from_manifest_needs_every_fold(self, rng):
+        samples = self._samples(rng, n=4)
+        mapping = {"s0": 0, "s1": None, "s2": 1}  # s1 has no fold, s3 no entry
+        with pytest.raises(DataError) as info:
+            make_folds(samples, "fixed_from_manifest", manifest_folds=mapping)
+        assert str(info.value) == "manifest provides no fold index for samples ['s1', 's3']"
+
 
 def separable_binary(rng, n=24, d=4):
     data = []
@@ -382,6 +412,33 @@ class TestCrossValidate:
         with pytest.raises(DataError) as info:
             cross_validate(data, folds, ModelSpec("MIL", TrainConfig(maxiter=5)))
         assert str(info.value) == "fold 1 cannot train: classes with zero samples: [2]"
+        assert trained == []
+
+    @pytest.mark.parametrize(
+        "n_folds, fold_of, message",
+        [
+            (2, lambda i: None if i == 3 else i % 2,
+             "samples missing from the fold assignment: ['b3']"),
+            (3, lambda i: i % 2, "fold 2 has no evaluation samples"),
+            (1, lambda i: 0, "fold 0 has no training samples"),
+        ],
+        ids=["unassigned-sample", "empty-evaluation-fold", "empty-training-fold"],
+    )
+    def test_unusable_fold_spec_is_a_data_error_before_training(
+        self, rng, monkeypatch, n_folds, fold_of, message
+    ):
+        import lomo.evaluation
+
+        data = separable_binary(rng, n=12)
+        assignment = {s.id: fold_of(i) for i, s in enumerate(data)}
+        folds = FoldSpec("custom", "fixed_from_manifest", n_folds,
+                         {sid: fold for sid, fold in assignment.items() if fold is not None})
+        trained = []
+        monkeypatch.setattr(lomo.evaluation, "train_spec", lambda *a, **k: trained.append(a))
+        spec = ModelSpec("MIL", TrainConfig(M=1, maxiter=20, seed=1, coverage_t=0))
+        with pytest.raises(DataError) as info:
+            cross_validate(data, folds, spec)
+        assert str(info.value) == message
         assert trained == []
 
     @pytest.mark.parametrize("search", [False, True], ids=["cross_validate", "grid_search"])
