@@ -4,8 +4,9 @@ The model scores a sequence by placing M learned templates on M distinct,
 temporally separated frames and adding a learned cost for the realized
 temporal order of the templates (one scalar per permutation pattern). An
 optional global template over the pooled sequence is blended in with a
-learned-free mixing weight. Training is stochastic subgradient descent on a
-regularized hinge loss with the placement treated as a latent variable.
+mixing weight ``gamma_g`` that is cross-validated, not learned. Training is
+stochastic subgradient descent on a regularized hinge loss with the
+placement treated as a latent variable.
 """
 
 from .core import (

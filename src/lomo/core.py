@@ -137,9 +137,6 @@ class Model:
                 f"ordering_costs must have M! = {factorial(m)} entries for M={m}, "
                 f"got {costs.shape[0]}"
             )
-        magnitude = _magnitude(templates)
-        if not (isfinite(magnitude) and np.isfinite(costs).all()):
-            raise ValueError("model parameters contain non-finite values")
         if not 0.0 <= self.gamma_g <= 1.0:
             raise ValueError(f"gamma_g must lie in [0, 1], got {self.gamma_g}")
         if self.pooling not in POOL_MODES:
@@ -157,17 +154,9 @@ class Model:
                     f"global template dimension {g.shape[0]} does not match "
                     f"template dimension {templates.shape[1]}"
                 )
-            if not np.isfinite(g).all():
-                raise ValueError("global template contains non-finite values")
-            g.setflags(write=False)
-        templates.setflags(write=False)
-        costs.setflags(write=False)
-        object.__setattr__(self, "templates", templates)
-        object.__setattr__(self, "ordering_costs", costs)
-        object.__setattr__(self, "global_template", g)
         object.__setattr__(self, "gamma_g", float(self.gamma_g))
         object.__setattr__(self, "coverage", int(self.coverage))
-        object.__setattr__(self, "_magnitude", magnitude)  # max |templates[i, j]|
+        self._take_parameters(templates, costs, g)
 
     def _stepped(self, templates, ordering_costs, global_template) -> "Model":
         """This model with new parameters, taken over as read-only arrays.
@@ -178,6 +167,15 @@ class Model:
         twin is built from the fields alone, so no value cached from this
         model's parameters carries over.
         """
+        twin = object.__new__(type(self))
+        twin.__dict__.update(gamma_g=self.gamma_g, pooling=self.pooling, coverage=self.coverage)
+        twin._take_parameters(templates, ordering_costs, global_template)
+        return twin
+
+    def _take_parameters(self, templates, ordering_costs, global_template) -> None:
+        """Check the float64 parameter arrays finite, make them read-only and
+        set them on this model, with the largest absolute template entry kept
+        for ``_product_bound``."""
         magnitude = _magnitude(templates)
         if not (isfinite(magnitude) and np.isfinite(ordering_costs).all()):
             raise ValueError("model parameters contain non-finite values")
@@ -187,17 +185,12 @@ class Model:
             global_template.setflags(write=False)
         templates.setflags(write=False)
         ordering_costs.setflags(write=False)
-        twin = object.__new__(type(self))
-        twin.__dict__.update(
+        self.__dict__.update(
             templates=templates,
             ordering_costs=ordering_costs,
             global_template=global_template,
-            gamma_g=self.gamma_g,
-            pooling=self.pooling,
-            coverage=self.coverage,
-            _magnitude=magnitude,
+            _magnitude=magnitude,  # max |templates[i, j]|
         )
-        return twin
 
     @cached_property
     def _weighted_costs(self):
@@ -277,6 +270,20 @@ def pool(sample: SequenceSample, mode: str = "mean") -> np.ndarray:
     return pooled
 
 
+def _global_score(model: Model, sample: SequenceSample) -> float:
+    """g . pool(x), or 0.0 without a global template. Finite inputs can
+    still overflow the mean's sum or the product, so both run with numpy's
+    overflow warnings off; a non-finite pooled entry leaves the product
+    non-finite, and a non-finite product is a ``DataError``."""
+    if model.global_template is None:
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        score = float(model.global_template.dot(pool(sample, model.pooling)))
+    if not isfinite(score):
+        raise DataError(f"sample {sample.id!r}: the global term overflows to non-finite values")
+    return score
+
+
 def check_dim(model: Model, sample: SequenceSample) -> None:
     """Raise ``DataError`` unless ``model`` and ``sample`` share a feature dimension."""
     if model.dim != sample.dim:
@@ -352,10 +359,7 @@ def _score_placement(model: Model, sample: SequenceSample, k: tuple, rank: int) 
         template_score += float(templates[i].dot(frames[k[i]]))
     template_score /= m
     ordering_cost = float(model.ordering_costs[rank - 1])
-    if model.global_template is not None:
-        global_score = float(model.global_template.dot(pool(sample, model.pooling)))
-    else:
-        global_score = 0.0
+    global_score = _global_score(model, sample)
     gamma = model.gamma_g
     total = gamma * global_score + (1.0 - gamma) * (template_score + ordering_cost)
     # the frozen dataclass's __init__ would route each field through

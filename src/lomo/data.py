@@ -23,7 +23,7 @@ import os
 import pickle
 import signal
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -200,15 +200,7 @@ class Manifest:
 
 
 def save_manifest(path, manifest: Manifest) -> None:
-    payload = {
-        "version": manifest.version,
-        "dim": manifest.dim,
-        "entries": [
-            {"path": e.path, "label": e.label, "group": e.group, "fold": e.fold}
-            for e in manifest.entries
-        ],
-    }
-    write_json(path, payload)
+    write_json(path, asdict(manifest))
 
 
 def write_json(path, payload) -> None:

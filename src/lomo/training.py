@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import (
     BINARY_LABELS, MAX_EVENTS, POOL_MODES, Model, SequenceSample, _SAFE_PRODUCT_BOUND,
-    _product_bound, _score_placement, check_dim, perm_rank, pool, score_fixed,
+    _global_score, _product_bound, _score_placement, check_dim, perm_rank, pool, score_fixed,
 )
 from .errors import DataError, LomoError
 from .inference import SOLVERS
@@ -233,7 +233,7 @@ def sgd_step(
         # solver is skipped and the sample is scored by its global term.
         check_dim(model, sample)
         assignment = None
-        total = float(np.dot(model.global_template, pool(sample, model.pooling)))
+        total = _global_score(model, sample)
     else:
         if _last is not None and y == 1:
             entry = _last.entries.get(sample)

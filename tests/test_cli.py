@@ -206,6 +206,47 @@ class TestTrain:
         assert "RuntimeWarning" not in err
         assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.parametrize(
+        "n_frames, rows, flags",
+        [(3, ("1e160 1e160", "-1e160 1e160"), ("--maxiter", "50")),
+         (4, ("1e308 1e308", "-1e308 -1e308"), ("--maxiter", "20"))],
+        ids=["product", "mean-sum"],
+    )
+    def test_an_overflowing_global_term_exits_2(self, tmp_path, capsys, n_frames, rows, flags):
+        # every value is finite: with rows near 1e160 the global template's
+        # product overflows once training moves it toward them; four rows of
+        # +-1e308 overflow the mean pooling's sum before the first update
+        from lomo import Manifest, ManifestEntry, Model, save_manifest, save_model
+
+        entries = []
+        for i in range(4):
+            label = -1 if i % 2 else 1
+            (tmp_path / f"s{i}.lseq").write_text(
+                f"lseq 1 2\nseq s{i} {label} - {n_frames}\n" + f"{rows[i % 2]}\n" * n_frames)
+            entries.append(ManifestEntry(path=f"s{i}.lseq", label=label))
+        manifest = str(tmp_path / "m.json")
+        save_manifest(manifest, Manifest(1, 2, entries))
+        given = tmp_path / "given.bin"
+        save_model(given, Model(templates=[[0.0, 0.0]], ordering_costs=[0.0],
+                                global_template=[5e158, 5e158], gamma_g=1.0), kind="MnP")
+        out = {cmd: str(tmp_path / f"out-{cmd}") for cmd in ("train", "predict", "eval")}
+        for argv in (
+            ["train", "--manifest", manifest, "--model-kind", "mnp", *flags, "--seed", "1",
+             "--out", out["train"]],
+            ["predict", "--model", str(given), "--manifest", manifest, "--out", out["predict"]],
+            ["eval", "--manifest", manifest, "--model-kind", "mnp", *flags, "--seed", "1",
+             "--folds", "random:2", "--metrics", "acc", "--out", out["eval"]],
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = main(argv)
+            err = capsys.readouterr().err
+            assert rc == 2, argv[0]
+            assert re.fullmatch(r"lomo: data error: sample 's[0-3]': "
+                                r"the global term overflows to non-finite values\n", err), err
+            assert [str(w.message) for w in caught] == []
+        assert list(tmp_path.glob("out-*")) == []
+
     @pytest.mark.parametrize("solver", ["greedy", "dp"])
     def test_diverging_training_exits_3(self, tmp_path, capsys, solver):
         # every flag is valid; the first violating step overflows the template
@@ -837,9 +878,10 @@ class TestInferBench:
         [("--solvers", "greedy,bogus"), ("--solvers", ","), ("--solvers", "dp,dp"),
          ("--n", "10,x"), ("--m", "2,"), ("--t", "one"),
          ("--n", "0"), ("--n", "10,-1"), ("--m", "0"), ("--m", "2,9"), ("--t", "-1"),
-         ("--dim", "0")],
+         ("--dim", "0"), ("--dim", "abc")],
         ids=["unknown-solver", "no-solver", "repeated-solver", "n", "m", "t",
-             "zero-n", "negative-n", "zero-m", "too-many-events", "negative-t", "zero-dim"],
+             "zero-n", "negative-n", "zero-m", "too-many-events", "negative-t", "zero-dim",
+             "dim-not-an-integer"],
     )
     def test_malformed_list_flag_is_a_usage_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "bench.csv"

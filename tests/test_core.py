@@ -35,6 +35,10 @@ class TestPermRank:
         with pytest.raises(ValueError, match="tied latent positions"):
             perm_rank((4, 4, 1))
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="k must contain at least one entry"):
+            perm_rank(())
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_bijection_onto_factorial_range(self, m):
         values = tuple(10 * (i + 1) for i in range(m))
@@ -199,6 +203,13 @@ class TestScoreFixed:
         with pytest.raises(ValueError):
             score_fixed(model, make_sample([[1.0], [2.0]]), (2,))
 
+    @pytest.mark.parametrize("k", [(0,), (0, 2, 4)], ids=["too-few", "too-many"])
+    def test_wrong_number_of_indices(self, k):
+        model = Model(templates=np.eye(2), ordering_costs=[0.0, 0.0])
+        with pytest.raises(ValueError) as raised:
+            score_fixed(model, make_sample(np.ones((6, 2))), k)
+        assert str(raised.value) == f"expected 2 latent indices, got {len(k)}"
+
     def test_linear_in_model_parameters(self, rng):
         from math import factorial as fac
 
@@ -307,3 +318,23 @@ class TestTypeInvariants:
                 global_template=np.zeros(2),
                 gamma_g=1.5,
             )
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(templates=np.zeros(2)), "templates must be an M x d matrix, got shape (2,)"),
+            (dict(templates=np.zeros((1, 2, 1))),
+             "templates must be an M x d matrix, got shape (1, 2, 1)"),
+            (dict(pooling="median"), "pooling must be one of ('mean', 'max'), got 'median'"),
+            (dict(coverage=-1), "coverage must be non-negative, got -1"),
+            (dict(global_template=np.zeros(3)),
+             "global template dimension 3 does not match template dimension 2"),
+        ],
+        ids=["vector-templates", "3d-templates", "unknown-pooling", "negative-coverage",
+             "global-template-length"],
+    )
+    def test_malformed_fields_are_rejected(self, fields, message):
+        fields = dict(dict(templates=np.zeros((1, 2)), ordering_costs=[0.0]), **fields)
+        with pytest.raises(ValueError) as raised:
+            Model(**fields)
+        assert str(raised.value) == message

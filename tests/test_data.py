@@ -147,6 +147,22 @@ class TestLseqErrors:
         with pytest.raises(DataError, match="version"):
             read_lseq(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("lseq 1 two\n", ":1: bad dimension 'two'"),
+         ("lseq 1 2\nseq a one - 1\n1 2\n",
+          ":2: bad label or length in ['seq', 'a', 'one', '-', '1']"),
+         ("lseq 1 2\nseq a 1 - 1.5\n1 2\n",
+          ":2: bad label or length in ['seq', 'a', '1', '-', '1.5']")],
+        ids=["dimension", "label", "length"],
+    )
+    def test_non_integer_header_field(self, tmp_path, text, message):
+        path = tmp_path / "i.lseq"
+        path.write_text(text)
+        with pytest.raises(DataError) as raised:
+            read_lseq(path)
+        assert str(raised.value) == f"{path}{message}"
+
     def test_dimension_mismatch_reports_line(self, tmp_path):
         path = tmp_path / "d.lseq"
         path.write_text("lseq 1 4\nseq a 1 - 2\n1 2 3 4\n1 2 3\n")
@@ -432,6 +448,18 @@ class TestManifest:
         assert folds == {"m0": 0, "m1": 1, "m2": 0, "m3": 1}
         assert all(s.group in ("g0", "g1") for s in samples)
 
+    def test_saved_text(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_manifest(path, Manifest(1, 3, [ManifestEntry("a.lseq", -1),
+                                            ManifestEntry("b.lseq", 2, group="g", fold=0)]))
+        assert path.read_text() == (
+            '{\n  "dim": 3,\n  "entries": [\n'
+            '    {\n      "fold": null,\n      "group": null,\n      "label": -1,\n'
+            '      "path": "a.lseq"\n    },\n'
+            '    {\n      "fold": 0,\n      "group": "g",\n      "label": 2,\n'
+            '      "path": "b.lseq"\n    }\n  ],\n  "version": 1\n}\n'
+        )
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="does not exist"):
             load_manifest(tmp_path / "nope.json")
@@ -509,10 +537,11 @@ class TestManifest:
             {"version": 1.0, "dim": 2, "entries": []},
             {"version": 1, "dim": True, "entries": []},
             {"version": 99, "dim": 2, "entries": []},
+            {"version": 1, "dim": 2, "entries": [["a", 1]]},
         ],
         ids=["top-level-number", "entries-number", "version-text", "dim-infinite",
              "path-list", "group-number", "label-float", "label-bool", "fold-float",
-             "fold-bool", "version-float", "dim-bool", "version-99"],
+             "fold-bool", "version-float", "dim-bool", "version-99", "entry-list"],
     )
     def test_malformed_fields_raise_data_error(self, tmp_path, payload):
         path = tmp_path / "m.json"
@@ -782,6 +811,25 @@ class TestSynthConfigValidation:
     def test_too_short_sequences_rejected(self):
         with pytest.raises(InfeasibleError):
             SynthConfig(dim=4, n_min=5, n_max=10, m_true=3, n_pos=2, n_neg=2, min_gap=2)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [(dict(dim=0), "dim and m_true must be >= 1"),
+         (dict(m_true=0), "dim and m_true must be >= 1"),
+         (dict(n_pos=0), "n_pos and n_neg must be >= 1"),
+         (dict(n_neg=0), "n_pos and n_neg must be >= 1"),
+         (dict(n_min=11), "n_min 11 exceeds n_max 10"),
+         (dict(min_gap=-1), "min_gap and noise_sigma must be non-negative"),
+         (dict(noise_sigma=-0.1), "min_gap and noise_sigma must be non-negative"),
+         (dict(neg_mode="reversed"),
+          "neg_mode must be one of ('shuffled_order', 'events_absent'), got 'reversed'")],
+        ids=["dim", "m_true", "n_pos", "n_neg", "lengths", "min_gap", "noise_sigma", "neg_mode"],
+    )
+    def test_out_of_range_field_rejected(self, fields, message):
+        base = dict(dim=4, n_min=8, n_max=10, m_true=2, n_pos=2, n_neg=2)
+        with pytest.raises(ValueError) as raised:
+            SynthConfig(**dict(base, **fields))
+        assert str(raised.value) == message
 
     def test_shuffled_order_needs_two_events(self):
         with pytest.raises(ValueError):

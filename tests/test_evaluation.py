@@ -97,6 +97,17 @@ class TestMeanAveragePrecision:
         ])
         assert mean_average_precision(table, labels) == pytest.approx(expected)
 
+    @pytest.mark.parametrize(
+        "class_labels, message",
+        [([0, 1, 2], "score table has 2 columns for 3 classes"),
+         ([1, 2], "average_precision: no class has positive samples in the evaluated set")],
+        ids=["column-count", "no-positive"],
+    )
+    def test_unusable_table_rejected(self, class_labels, message):
+        with pytest.raises(ValueError) as raised:
+            mean_average_precision(np.zeros((3, 2)), [0, 0, 0], class_labels)
+        assert str(raised.value) == message
+
 
 class TestAuc:
     def test_perfect_separation(self):
@@ -111,6 +122,19 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             auc([1.0, 2.0], [1, 1])
+
+    @pytest.mark.parametrize(
+        "scores, labels, message",
+        [([1.0, 2.0, 3.0], [1, -1], "scores and labels differ in length: (3,) vs (2,)"),
+         ([1.0, np.inf], [1, -1], "scores contain non-finite values"),
+         ([1.0, np.nan], [1, -1], "scores contain non-finite values"),
+         ([1.0, 2.0, 3.0], [1, -1, 0], "binary metrics expect labels -1/+1, got [-1, 0, 1]")],
+        ids=["lengths", "inf", "nan", "labels"],
+    )
+    def test_malformed_input_rejected(self, scores, labels, message):
+        with pytest.raises(ValueError) as raised:
+            auc(scores, labels)
+        assert str(raised.value) == message
 
     def test_matches_pair_counting(self, rng):
         for _ in range(30):
@@ -225,6 +249,10 @@ class TestAverageClassAccuracy:
         )
         assert dup == base
 
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="predictions and labels differ in length"):
+            average_class_accuracy([0, 1, 1], [0, 1])
+
 
 class TestMakeFolds:
     def _samples(self, rng, n=20, groups=None):
@@ -264,6 +292,10 @@ class TestMakeFolds:
         for s in samples:
             by_group.setdefault(s.group, set()).add(folds.assignment[s.id])
         assert all(len(v) == 1 for v in by_group.values())
+
+    def test_unknown_policy_rejected(self, rng):
+        with pytest.raises(ValueError, match="policy must be one of .*, got 'stratified'"):
+            make_folds(self._samples(rng), "stratified", k=2)
 
     def test_group_policy_requires_groups(self, rng):
         samples = self._samples(rng)

@@ -542,6 +542,48 @@ class TestNonFiniteResponses:
             solve_set(model, samples, "dp")
 
 
+def _global_overflow(case, pooling="mean", sid="big"):
+    """A model and a sample of finite values whose global term overflows:
+    in the product g . pool(x) = 2 * 5e158 * 1e160, or in the mean's sum
+    over four frames of 1e308. The template responses stay finite."""
+    if case == "product":
+        model = Model(templates=[[1.0, 1.0]], ordering_costs=[0.0],
+                      global_template=[5e158, -5e158], gamma_g=1.0, pooling=pooling)
+        return model, SequenceSample(sid, 1, [[1e160, -1e160]] * 3)
+    model = Model(templates=[[1e-10, 1e-10]], ordering_costs=[0.0],
+                  global_template=[1.0, 1.0], gamma_g=0.5, pooling=pooling)
+    return model, SequenceSample(sid, 1, [[1e308, 1e308]] * 4)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNonFiniteGlobalTerm:
+    @pytest.mark.parametrize("case, pooling", [("product", "mean"), ("product", "max"),
+                                               ("mean-sum", "mean")])
+    @pytest.mark.parametrize("solver", ["greedy", "dp", "brute"])
+    def test_overflow_is_a_data_error(self, solver, case, pooling):
+        model, sample = _global_overflow(case, pooling)
+        with pytest.raises(DataError) as raised:
+            inference.SOLVERS[solver](model, sample)
+        assert str(raised.value) == "sample 'big': the global term overflows to non-finite values"
+        with pytest.raises(DataError, match="the global term overflows"):
+            score_fixed(model, sample, (0,))
+
+    def test_solve_set_names_the_first_bad_sample(self):
+        model, _ = _global_overflow("product")
+        samples = [SequenceSample("ok", 1, [[1.0, 2.0]] * 3)] + [
+            _global_overflow("product", sid=f"big{i}")[1] for i in range(2)
+        ]
+        for solver in ("greedy", "dp"):
+            with pytest.raises(DataError, match="sample 'big0': the global term overflows"):
+                solve_set(model, samples, solver)
+
+    def test_a_large_finite_global_term_is_kept(self):
+        model = Model(templates=[[1e-10, 1e-10]], ordering_costs=[0.0],
+                      global_template=[2.0**500, 2.0**500], gamma_g=1.0)
+        sample = SequenceSample("large", 1, [[2.0**500, 2.0**500]] * 3)
+        assert infer_dp(model, sample).global_score == 2.0**1001
+
+
 class TestSolverScoring:
     def test_solvers_score_their_placement_as_score_fixed_does(self):
         rng = np.random.default_rng(404)

@@ -124,6 +124,18 @@ class TestBinaryAndMulticlass:
         with pytest.raises(DataError, match="zero samples"):
             train_multiclass(data, spec, class_labels=[0, 1, 2])
 
+    @pytest.mark.parametrize(
+        "class_labels, dims, message",
+        [([0, 1, 2], [2, 2], "one model per class label required"),
+         ([0, 1, 2], [2, 3, 2], "per-class models disagree on dimension: [2, 3]")],
+        ids=["lengths", "dimensions"],
+    )
+    def test_multiclass_model_rejects_mismatched_parts(self, class_labels, dims, message):
+        models = [Model(templates=np.zeros((1, d)), ordering_costs=[0.0]) for d in dims]
+        with pytest.raises(ValueError) as raised:
+            MulticlassModel(class_labels, models)
+        assert str(raised.value) == message
+
     def test_one_vs_rest_rejects_an_absent_positive_class(self, rng):
         data = [make_sample(rng.standard_normal((3, 2)), i % 3, f"x{i}") for i in range(6)]
         assert [s.label for s in one_vs_rest(data, 2)] == [-1, -1, 1, -1, -1, 1]
@@ -300,6 +312,18 @@ class TestLateFusion:
         with pytest.raises(DataError):
             late_fusion([np.array([np.inf, 0.0])], "equal_mean")
 
+    @pytest.mark.parametrize(
+        "tables, mode, message",
+        [([np.zeros(3)], "median", "fusion mode must be one of ('equal_mean', 'zscore_weighted'), "
+                                   "got 'median'"),
+         ([], "equal_mean", "need at least one score table")],
+        ids=["unknown-mode", "no-tables"],
+    )
+    def test_unusable_call_rejected(self, tables, mode, message):
+        with pytest.raises(ValueError) as raised:
+            late_fusion(tables, mode)
+        assert str(raised.value) == message
+
     def test_equal_mean_rejects_weights(self):
         with pytest.raises(ValueError):
             late_fusion([np.zeros(3)], "equal_mean", weights=[1.0])
@@ -361,6 +385,11 @@ class TestPersistence:
         model = Model(templates=rng.standard_normal((2, 3)), ordering_costs=np.zeros(2))
         loaded = self._roundtrip(tmp_path, model, kind="MIL")
         assert loaded.model.global_template is None
+
+    def test_directory_rejected(self, tmp_path):
+        with pytest.raises(DataError) as raised:
+            load_model(tmp_path)
+        assert str(raised.value).startswith(f"cannot read model container {tmp_path}: ")
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -40,6 +40,17 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{name} must be .*and finite, got 1000"):
             TrainConfig(**{name: 10**400})
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [(dict(maxiter=-1), "maxiter must be non-negative, got -1"),
+         (dict(pooling="sum"), "pooling must be one of ('mean', 'max'), got 'sum'")],
+        ids=["negative-maxiter", "unknown-pooling"],
+    )
+    def test_out_of_range_field_is_rejected(self, fields, message):
+        with pytest.raises(ValueError) as raised:
+            TrainConfig(**fields)
+        assert str(raised.value) == message
+
 
 class TestInitModel:
     def test_coordinates_within_init_range(self):
@@ -64,6 +75,11 @@ class TestInitModel:
     def test_global_template_only_with_positive_gamma(self):
         assert init_model(TrainConfig(M=1, gamma_g=0.0), 2).global_template is None
         assert init_model(TrainConfig(M=1, gamma_g=0.3), 2).global_template is not None
+
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_dimension_below_one_rejected(self, dim):
+        with pytest.raises(ValueError, match=f"dimension must be >= 1, got {dim}$"):
+            init_model(TrainConfig(), dim)
 
 
 class TestSgdStep:
@@ -294,6 +310,32 @@ class TestPooledOnlyStep:
         save_model(tmp_path / "slow.bin", slow.model)
         assert (tmp_path / "fast.bin").read_bytes() == (tmp_path / "slow.bin").read_bytes()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "global_template, rows, pooling",
+        [([5e158, -5e158], [[1e160, -1e160]] * 3, "mean"),
+         ([5e158, -5e158], [[1e160, -1e160]] * 3, "max"),
+         ([1e-4, 1e-4], [[1e308, 1e308]] * 4, "mean")],
+        ids=["product-mean", "product-max", "mean-sum"],
+    )
+    def test_an_overflowing_global_term_is_a_data_error(self, global_template, rows, pooling):
+        model = Model(templates=[[0.0, 0.0]], ordering_costs=[0.0],
+                      global_template=global_template, gamma_g=1.0, pooling=pooling)
+        cfg = TrainConfig(M=1, gamma_g=1.0, coverage_t=0, pooling=pooling)
+        with pytest.raises(DataError) as raised:
+            sgd_step(model, make_sample(rows, 1, "big"), cfg)
+        assert str(raised.value) == "sample 'big': the global term overflows to non-finite values"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_train_reports_the_overflow_as_a_data_error(self):
+        # the mean of four frames of +-1e308 overflows, so the first step's
+        # score does whatever the initial template: bad data, not divergence
+        data = [make_sample([[1e308, 1e308]] * 4, 1, "pos"),
+                make_sample([[-1e308, -1e308]] * 4, -1, "neg")]
+        with pytest.raises(DataError, match="the global term overflows") as raised:
+            train(data, TrainConfig(M=1, gamma_g=1.0, coverage_t=0, maxiter=20), trace_every=0)
+        assert type(raised.value) is DataError
+
 
 class TestTrain:
     def _toy_data(self, rng, n=12, d=4):
@@ -355,6 +397,10 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
             train([], TrainConfig())
+
+    def test_objective_of_an_empty_dataset_rejected(self):
+        with pytest.raises(DataError, match="objective requires a non-empty dataset"):
+            objective(init_model(TrainConfig(), 2), [], TrainConfig())
 
     def test_mixed_dimensions_rejected(self, rng):
         data = [make_sample(rng.standard_normal((4, 3)), 1, "a"),
