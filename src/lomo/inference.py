@@ -213,7 +213,7 @@ def infer_dp(model: Model, sample: SequenceSample) -> LatentAssignment:
     last = m - 1
     stages = [None] * m  # stages[j]: suffix stage of slot j on the current path
     best_value = -np.inf
-    best_rank0 = 0
+    best_rank0 = len(slot_orders)  # past every rank, so a value of -inf is taken too
     best_stages = None
     for j, tpl, rank0, _, _ in walk:
         stages[j] = rows[tpl] if j == last else _stage(rows[tpl], stages[j + 1], n, gap)
@@ -256,12 +256,13 @@ def infer_brute(model: Model, sample: SequenceSample) -> LatentAssignment:
     best_k = None
     best_rank0 = 0
     for rank0, slot_templates in enumerate(_plan(m)[0]):
-        values = scaled[slot_templates[0]][combos[:, 0]].copy()
-        for j in range(1, m):
-            values += scaled[slot_templates[j]][combos[:, j]]
-        values += weighted_costs[rank0]
+        with np.errstate(over="ignore"):  # as in infer_dp's float sums: +-inf, no warning
+            values = scaled[slot_templates[0]][combos[:, 0]].copy()
+            for j in range(1, m):
+                values += scaled[slot_templates[j]][combos[:, j]]
+            values += weighted_costs[rank0]
         idx = int(np.argmax(values))  # combos are lexicographic, first max wins
-        if values[idx] > best_value:
+        if best_k is None or values[idx] > best_value:
             best_value = float(values[idx])
             k = [0] * m
             for j, tpl in enumerate(slot_templates):
@@ -388,7 +389,8 @@ def _solve_set_dp(model: Model, samples: Sequence[SequenceSample]) -> List[Laten
         rows = np.full((m, length, len(members)), -np.inf)
         for s, i in enumerate(members):
             rows[:, length - samples[i].n_frames :, s] = scaled[i][:, ::-1]
-        placements, ranks0 = _solve_stack(rows, gap, weighted_costs)
+        with np.errstate(over="ignore"):  # as in infer_dp's float sums: +-inf, no warning
+            placements, ranks0 = _solve_stack(rows, gap, weighted_costs)
         for i, k, rank0 in zip(members, placements, ranks0):
             results[i] = _score_placement(model, samples[i], k, rank0 + 1)
     return results

@@ -249,19 +249,23 @@ def sgd_step(
         return model
     m = model.n_events
     shrink = 1.0 - config.lambda1 * eta
-    templates = model.templates * shrink
-    if assignment is not None:
-        templates += (eta * (1.0 - gamma) * y / m) * sample.frames[list(assignment.k)]
-    if config.ordinal_enabled:
-        costs = model.ordering_costs * (1.0 - config.lambda2 * eta)
+    # finite parameters and frames can still overflow the update; the
+    # model's own finiteness check reports that, so numpy's warnings about
+    # it would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        templates = model.templates * shrink
         if assignment is not None:
-            costs[assignment.perm_rank - 1] += eta * (1.0 - gamma) * y
-    else:
-        costs = model.ordering_costs
-    global_template = model.global_template
-    if global_template is not None:
-        x_g = pool(sample, model.pooling)
-        global_template = global_template * shrink + (eta * gamma * y) * x_g
+            templates += (eta * (1.0 - gamma) * y / m) * sample.frames[list(assignment.k)]
+        if config.ordinal_enabled:
+            costs = model.ordering_costs * (1.0 - config.lambda2 * eta)
+            if assignment is not None:
+                costs[assignment.perm_rank - 1] += eta * (1.0 - gamma) * y
+        else:
+            costs = model.ordering_costs
+        global_template = model.global_template
+        if global_template is not None:
+            x_g = pool(sample, model.pooling)
+            global_template = global_template * shrink + (eta * gamma * y) * x_g
     return model._stepped(templates, costs, global_template)
 
 
@@ -282,11 +286,16 @@ def _check_dataset(dataset: Sequence[SequenceSample], n_events: int) -> None:
 
 
 def _regularizer(model: Model, config: TrainConfig) -> float:
-    """lambda1/2 (sum_i ||w_i||^2 + ||w_g||^2) + lambda2/2 sum_j c_j^2."""
-    reg = 0.5 * config.lambda1 * float(np.sum(model.templates**2))
-    if model.global_template is not None:
-        reg += 0.5 * config.lambda1 * float(np.sum(model.global_template**2))
-    reg += 0.5 * config.lambda2 * float(np.sum(model.ordering_costs**2))
+    """lambda1/2 (sum_i ||w_i||^2 + ||w_g||^2) + lambda2/2 sum_j c_j^2.
+
+    A finite parameter past about 1.3e154 squares to +inf; that runs with
+    numpy's overflow warnings off and is left to ``objective``'s check.
+    """
+    with np.errstate(over="ignore"):
+        reg = 0.5 * config.lambda1 * float(np.sum(model.templates**2))
+        if model.global_template is not None:
+            reg += 0.5 * config.lambda1 * float(np.sum(model.global_template**2))
+        reg += 0.5 * config.lambda2 * float(np.sum(model.ordering_costs**2))
     return reg
 
 
@@ -295,8 +304,14 @@ def objective(
     dataset: Sequence[SequenceSample],
     config: TrainConfig,
     solver: str = "greedy",
+    _step: Optional[int] = None,
 ) -> float:
-    """Exact regularized objective with scores from the named solver."""
+    """Exact regularized objective with scores from the named solver.
+
+    Finite parameters and scores can still sum or square past the float
+    range. A value that does is a ``LomoError``, not ±inf or a numpy
+    warning; ``train`` passes ``_step`` so that the error names its step.
+    """
     if not dataset:
         raise DataError("objective requires a non-empty dataset")
     infer_fn = SOLVERS[solver]  # an unknown name fails at every gamma_g
@@ -304,7 +319,11 @@ def objective(
     for sample in dataset:
         s = infer_fn(model, sample).total
         hinge += max(0.0, 1.0 - sample.label * s)
-    return _regularizer(model, config) + hinge / len(dataset)
+    value = _regularizer(model, config) + hinge / len(dataset)
+    if not isfinite(value):
+        where = "" if _step is None else f" at step {_step}"
+        raise LomoError(f"the objective{where} overflows to a non-finite value")
+    return value
 
 
 def train(
@@ -328,7 +347,8 @@ def train(
     model, ``violations`` and ``trace`` are those of solving every step.
 
     A step whose update leaves a parameter non-finite raises ``LomoError``
-    naming the step and the sample.
+    naming the step and the sample, and a trace point whose objective
+    overflows raises ``LomoError`` naming the step; neither lets numpy warn.
     """
     _check_dataset(dataset, config.M)
     if trace_every is not None and trace_every < 0:
@@ -340,7 +360,7 @@ def train(
     started = time.perf_counter()
     trace: List[Tuple[int, float]] = []
     if trace_every:
-        trace.append((0, objective(model, dataset, config, solver)))
+        trace.append((0, objective(model, dataset, config, solver, _step=0)))
     violations = 0
     n = len(dataset)
     last = None
@@ -356,7 +376,7 @@ def train(
             violations += 1
             model = stepped
         if trace_every and (it % trace_every == 0 or it == config.maxiter):
-            trace.append((it, objective(model, dataset, config, solver)))
+            trace.append((it, objective(model, dataset, config, solver, _step=it)))
     return TrainReport(
         model=model,
         trace=trace,

@@ -11,6 +11,8 @@ with no learned threshold.
 """
 
 import csv
+import multiprocessing
+import os
 import statistics
 import time
 from math import factorial
@@ -80,57 +82,73 @@ def train_kind(train_set, kind, seed, trace_every=None, **overrides):
     return train_spec(train_set, ModelSpec(kind, cfg), solver=SOLVER, trace_every=trace_every)
 
 
+def train_and_score(neg_mode, data_seed, kind, seed, trace_every, metric="eer"):
+    """One benchmark training on data seed ``data_seed``, scored on its test
+    set by EER accuracy or AUC. Returns (score, seconds, trace), the seconds
+    timing the training and the scoring; no model leaves the call."""
+    train_set, test_set = benchmark_data(data_seed, neg_mode)
+    t0 = time.perf_counter()
+    run = train_kind(train_set, kind, seed, trace_every=trace_every)
+    if metric == "auc":
+        score = auc(predict_table(run.model, test_set, SOLVER), np.array([s.label for s in test_set]))
+    else:
+        score = eer_accuracy(run.model, test_set)
+    return score, time.perf_counter() - t0, run.trace
+
+
+def run_trainings(tasks):
+    """``[train_and_score(*task) for task in tasks]``. The trainings are
+    independent and seeded, so they run on a pool of one worker process per
+    usable CPU, at most two, with the same results; serially on one CPU."""
+    workers = min(2, len(os.sched_getaffinity(0)))
+    if workers == 1:
+        return [train_and_score(*task) for task in tasks]
+    # fork: spawn and forkserver ran no faster here, and each leaves a
+    # helper process (the resource tracker, the fork server) running as a
+    # child of the test session after the pool ends
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        return pool.starmap(train_and_score, tasks, chunksize=1)
+
+
 @pytest.fixture(scope="module")
 def planted_order_runs():
-    runs = []
-    for seed in range(5):
-        train_set, test_set = benchmark_data(seed, "shuffled_order")
-        t0 = time.perf_counter()
-        lomo = train_kind(train_set, "LOMo", seed, trace_every=200 if seed == 0 else 20000)
-        lomo_acc = eer_accuracy(lomo.model, test_set)
-        lomo_time = time.perf_counter() - t0
-        ord0 = train_kind(train_set, "LOMo_ord0", seed, trace_every=20000)
-        gtp = train_kind(train_set, "GTP", seed, trace_every=20000, gamma_g=1.0)
-        gtp_scores = predict_table(gtp.model, test_set, SOLVER)
-        labels = np.array([s.label for s in test_set])
-        runs.append(
-            dict(
-                seed=seed,
-                lomo_acc=lomo_acc,
-                lomo_time=lomo_time,
-                lomo_trace=lomo.trace,
-                ord0_acc=eer_accuracy(ord0.model, test_set),
-                gtp_auc=auc(gtp_scores, labels),
-            )
+    seeds = range(5)
+    runs = run_trainings(
+        [("shuffled_order", seed, "LOMo", seed, 200 if seed == 0 else 20000) for seed in seeds]
+        + [("shuffled_order", seed, "LOMo_ord0", seed, 20000) for seed in seeds]
+        + [("shuffled_order", seed, "GTP", seed, 20000, "auc") for seed in seeds]  # GTP pins gamma_g=1
+    )
+    lomo, ord0, gtp = runs[:5], runs[5:10], runs[10:]
+    return [
+        dict(
+            seed=seed,
+            lomo_acc=lomo[seed][0],
+            lomo_time=lomo[seed][1],
+            lomo_trace=lomo[seed][2],
+            ord0_acc=ord0[seed][0],
+            gtp_auc=gtp[seed][0],
         )
-    return runs
+        for seed in seeds
+    ]
 
 
 @pytest.fixture(scope="module")
 def presence_only_runs():
-    runs = []
-    for seed in range(5):
-        train_set, test_set = benchmark_data(seed, "events_absent")
-        mil = train_kind(train_set, "MIL", seed, trace_every=20000)
-        lomo = train_kind(train_set, "LOMo", seed, trace_every=20000)
-        runs.append(
-            dict(
-                seed=seed,
-                mil_acc=eer_accuracy(mil.model, test_set),
-                lomo_acc=eer_accuracy(lomo.model, test_set),
-            )
-        )
-    return runs
+    seeds = range(5)
+    runs = run_trainings(
+        [("events_absent", seed, "MIL", seed, 20000) for seed in seeds]
+        + [("events_absent", seed, "LOMo", seed, 20000) for seed in seeds]
+    )
+    return [dict(seed=seed, mil_acc=runs[seed][0], lomo_acc=runs[5 + seed][0]) for seed in seeds]
 
 
 @pytest.fixture(scope="module")
 def seed_robustness_accs(planted_order_runs):
-    train_set, test_set = benchmark_data(0, "shuffled_order")
     accs = [planted_order_runs[0]["lomo_acc"]]  # train seed 0 on data seed 0
-    for train_seed in range(1, 10):
-        run = train_kind(train_set, "LOMo", train_seed, trace_every=20000)
-        accs.append(eer_accuracy(run.model, test_set))
-    return accs
+    runs = run_trainings(
+        [("shuffled_order", 0, "LOMo", train_seed, 20000) for train_seed in range(1, 10)]
+    )
+    return accs + [score for score, _, _ in runs]
 
 
 def test_criterion_1_oracle_equivalence(rng):

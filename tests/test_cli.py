@@ -53,6 +53,13 @@ def write_manifest_of_lengths(directory, lengths, rng):
     save_manifest(directory / "lengths.json", Manifest(1, 3, entries))
 
 
+# the exact message of a grid file's range errors, by file text
+GRID_ERRORS = {
+    '{"gamma_g": [0, 2]}': "gamma_g must lie in [0, 1], got 2",
+    '{"lambda1": [1' + "0" * 400 + "]}": "lambda1 must be non-negative and finite",
+}
+
+
 # the three scoring commands: cross-validation, grid search and late fusion
 SCORING_MODES = pytest.mark.parametrize(
     "mode",
@@ -274,6 +281,97 @@ class TestTrain:
         assert [str(w.message) for w in caught] == []
         assert not out.exists() and not (tmp_path / "div.bin.run.json").exists()
 
+    def test_an_overflowing_objective_exits_3(self, tmp_path, capsys):
+        # one violation takes the template to -4e154: every response stays
+        # finite, but the final objective squares it past the float range
+        from lomo import Manifest, ManifestEntry, SequenceSample, save_manifest, write_lseq
+
+        frames = {"p": (1, [[-4e153]]), "n": (-1, [[4e153]])}
+        for sid, (label, rows) in frames.items():
+            write_lseq(tmp_path / f"{sid}.lseq", [SequenceSample(sid, label, np.array(rows))])
+        save_manifest(tmp_path / "m.json", Manifest(1, 1, [
+            ManifestEntry(path=f"{sid}.lseq", label=label) for sid, (label, _) in frames.items()
+        ]))
+        out = tmp_path / "sq.bin"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([
+                "train", "--manifest", str(tmp_path / "m.json"), "--events", "1",
+                "--coverage-t", "0", "--maxiter", "5", "--eta", "10", "--out", str(out),
+            ])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "lomo: the objective overflows to a non-finite value\n")
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists() and not (tmp_path / "sq.bin.run.json").exists()
+
+    def test_overflow_prints_no_warning_from_a_real_process(self, tmp_path):
+        # the CI overflow step's data, through `python -m lomo.cli`: what
+        # reaches the process's own stderr, not a captured stream
+        import subprocess
+        import sys
+
+        import lomo
+
+        (tmp_path / "a.lseq").write_text("lseq 1 2\nseq a 1 - 3\n"
+                                         "1e200 1e200\n-1e200 2e200\n1e200 1e200\n")
+        (tmp_path / "b.lseq").write_text("lseq 1 2\nseq b -1 - 3\n"
+                                         "1e200 -1e200\n1e200 2e200\n-1e200 1e200\n")
+        (tmp_path / "m.json").write_text(
+            '{"version": 1, "dim": 2, "entries": [{"path": "a.lseq", "label": 1}, '
+            '{"path": "b.lseq", "label": -1}]}')
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        src = os.path.dirname(os.path.dirname(lomo.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "huge.bin"
+        done = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "lomo.cli", "train",
+             "--manifest", str(tmp_path / "m.json"), "--events", "2", "--coverage-t", "0",
+             "--maxiter", "20", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert re.fullmatch(r"lomo: data error: sample '[ab]': "
+                            r"template responses overflow to non-finite values\n", done.stderr)
+        assert done.stdout == ""
+        assert not out.exists() and not (tmp_path / "huge.bin.run.json").exists()
+
+    def test_malformed_lseq_file_exits_2_naming_its_line(self, tmp_path, capsys):
+        # numpy's block reader fails on line 5; the per-line parser names it
+        (tmp_path / "a.lseq").write_text("lseq 1 2\nseq a 1 - 3\n0.5 1.0\n-0.5 2.0\n0.5 x\n")
+        (tmp_path / "m.json").write_text(
+            '{"version": 1, "dim": 2, "entries": [{"path": "a.lseq", "label": 1}]}')
+        out = tmp_path / "bad.bin"
+        rc = main([
+            "train", "--manifest", str(tmp_path / "m.json"), "--maxiter", "5", "--out", str(out),
+        ])
+        assert rc == 2
+        assert (f"{tmp_path / 'a.lseq'}:5: unparseable number in ['0.5', 'x']"
+                in capsys.readouterr().err)
+        assert not out.exists() and not (tmp_path / "bad.bin.run.json").exists()
+
+    def test_exact_solvers_train_byte_identical_models(self, tmp_path, capsys):
+        # N^M = 144 is far under the brute guard, so dp and brute find the
+        # same placements, and each run skips some solves on certified margins
+        data = tmp_path / "exact"
+        assert main([
+            "synth", "--out-dir", str(data), "--dim", "4", "--n-min", "12", "--n-max", "12",
+            "--m-true", "2", "--n-pos", "8", "--n-neg", "8", "--noise-sigma", "0.1",
+            "--min-gap", "1", "--seed", "0",
+        ]) == 0
+        capsys.readouterr()
+        models = {}
+        for solver in ("dp", "brute"):
+            models[solver] = tmp_path / f"exact-{solver}.bin"
+            assert main([
+                "train", "--manifest", str(data / "train.json"), "--events", "2",
+                "--coverage-t", "1", "--maxiter", "400", "--seed", "0", "--solver", solver,
+                "--out", str(models[solver]),
+            ]) == 0
+            certified = re.search(r" certified=(\d+) ", capsys.readouterr().out)
+            assert int(certified.group(1)) >= 1, solver
+        assert models["dp"].read_bytes() == models["brute"].read_bytes()
+
     def test_short_sequences_train_with_the_default_solver(self, tmp_path, rng):
         write_manifest_of_lengths(tmp_path, [7] * 8, rng)
         # at N=7, M=3 the radius clamps to 2, and greedy's windows often
@@ -448,6 +546,25 @@ class TestPredict:
             score, decision = float(row[2]), int(row[3])
             assert decision == (1 if score >= 0 else -1)
 
+    def test_a_score_past_the_float_range_exits_2(self, tmp_path, capsys):
+        # finite responses and costs whose sum, the score, is -inf
+        from lomo import Model, save_model
+
+        save_model(tmp_path / "m.bin", Model(templates=[[1.0], [1.0]],
+                                             ordering_costs=[-1.7e308, -1.7e308]))
+        (tmp_path / "low.lseq").write_text("lseq 1 1\nseq low 1 - 3\n-1e308\n-1e308\n-1e308\n")
+        (tmp_path / "m.json").write_text(
+            '{"version": 1, "dim": 1, "entries": [{"path": "low.lseq", "label": 1}]}')
+        out = tmp_path / "s.tsv"
+        for solver in ("greedy", "dp", "brute"):
+            assert main([
+                "predict", "--model", str(tmp_path / "m.bin"), "--manifest",
+                str(tmp_path / "m.json"), "--solver", solver, "--out", str(out),
+            ]) == 2
+            assert capsys.readouterr().err == (
+                "lomo: data error: sample 'low': the score overflows to non-finite values\n")
+            assert not out.exists() and not (tmp_path / "s.tsv.run.json").exists()
+
     def test_untrusted_model_header_exits_2(self, synth_dir, tmp_path, capsys):
         for path in write_bad_model_headers(tmp_path):
             rc = main([
@@ -612,7 +729,10 @@ class TestEval:
             "--maxiter", "20", "--grid", str(grid_file), "--out", str(out),
         ])
         assert rc == 2
-        assert "data error: grid file" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error: grid file" in err
+        if text in GRID_ERRORS:
+            assert f"data error: grid file {grid_file}: {GRID_ERRORS[text]}" in err
         assert searched == []
         assert not out.exists() and not (tmp_path / "grid_report.json.run.json").exists()
 
@@ -894,6 +1014,9 @@ class TestInferBench:
         err = capsys.readouterr().err
         assert err.startswith("usage: lomo infer-bench ")
         assert f"lomo infer-bench: error: argument {flag}: " in err
+        if (flag, value) == ("--n", "0"):
+            assert ("argument --n: expected a comma list of integers of at least 1, got '0'"
+                    in err)
         assert not out.exists()
         assert not (tmp_path / "bench.csv.run.json").exists()
 

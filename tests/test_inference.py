@@ -584,6 +584,24 @@ class TestNonFiniteGlobalTerm:
         assert infer_dp(model, sample).global_score == 2.0**1001
 
 
+def _low_scores(sid="low"):
+    """Finite responses and costs whose every placement value V sums below
+    -DBL_MAX: two slots of 0.5 * -1e308, plus a cost of -1.7e308."""
+    model = Model(templates=[[1.0], [1.0]], ordering_costs=[-1.7e308, -1.7e308])
+    return model, SequenceSample(sid, 1, np.full((3, 1), -1e308))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflowingPlacementValues:
+    @pytest.mark.parametrize("solver", ["greedy", "dp", "brute"])
+    def test_every_value_at_minus_inf_takes_rank_1_at_the_first_frames(self, solver):
+        model, sample = _low_scores()
+        want = repr(score_fixed(model, sample, (0, 1)))
+        assert "total=-inf" in want
+        assert repr(inference.SOLVERS[solver](model, sample)) == want
+        assert repr(solve_set(model, [sample], solver)) == repr([infer_dp(model, sample)])
+
+
 class TestSolverScoring:
     def test_solvers_score_their_placement_as_score_fixed_does(self):
         rng = np.random.default_rng(404)

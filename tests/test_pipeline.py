@@ -207,6 +207,20 @@ class TestPredict:
                 assert predict(model, shuffled) == base
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("solver", ["greedy", "dp", "brute"])
+def test_a_score_past_the_float_range_is_a_data_error(solver):
+    # each response and cost is finite, but template score plus cost is -inf
+    model = Model(templates=[[1.0], [1.0]], ordering_costs=[-1.7e308, -1.7e308])
+    samples = [SequenceSample("ok", 1, np.ones((3, 1))), SequenceSample("low", 1, np.full((3, 1), -1e308))]
+    with pytest.raises(DataError) as raised:
+        predict_table(model, samples, solver)
+    assert str(raised.value) == "sample 'low': the score overflows to non-finite values"
+    multiclass = MulticlassModel(class_labels=[0, 1], per_class=[model, model])
+    with pytest.raises(DataError, match="sample 'low': the score overflows"):
+        predict_table(multiclass, samples, solver)
+
+
 class TestNoiselessGeneratorClaims:
     def _config(self, mode):
         from lomo import SynthConfig

@@ -243,6 +243,44 @@ class TestDivergence:
         assert isinstance(caught.value.__cause__, ValueError)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflowIsTyped:
+    """Finite input whose objective or update passes the float range gives a
+    typed error, and numpy never warns about it."""
+
+    def test_squared_parameters_overflow_the_traced_objective(self):
+        # one violation takes the template to -4e154, whose square overflows
+        # while every response (1.6e308) stays finite
+        data = [make_sample([[-4e153]], 1, "p"), make_sample([[4e153]], -1, "n")]
+        cfg = TrainConfig(M=1, coverage_t=0, maxiter=5, eta=10)
+        with pytest.raises(LomoError) as caught:
+            train(data, cfg, "greedy", trace_every=1)
+        assert type(caught.value) is LomoError
+        assert str(caught.value) == "the objective at step 1 overflows to a non-finite value"
+
+    def test_hinge_sum_overflows(self):
+        model = Model(templates=[[1.0]], ordering_costs=[0], coverage=0)
+        data = [make_sample([[1.5e308]], -1, f"n{i}") for i in range(3)]
+        with pytest.raises(LomoError) as caught:
+            objective(model, data, TrainConfig(M=1, coverage_t=0))
+        assert type(caught.value) is LomoError
+        assert str(caught.value) == "the objective overflows to a non-finite value"
+
+    def test_overflowing_step_raises_without_a_warning(self):
+        cfg = TrainConfig(M=1, eta=100.0, coverage_t=0)
+        local = Model(templates=[[0.0]], ordering_costs=[0.0])
+        with pytest.raises(ValueError, match="model parameters contain non-finite values"):
+            sgd_step(local, make_sample([[1e307], [-1e307]], -1, "b"), cfg)
+
+    @pytest.mark.parametrize("solver", ["greedy", "dp"])
+    def test_overflowing_update_ends_training(self, solver):
+        data = TestDivergence()._data()
+        cfg = TrainConfig(M=1, eta=100.0, coverage_t=0, maxiter=20)
+        with pytest.raises(LomoError, match=r"^training diverged at step \d+ on sample '[ab]': "
+                                            r"model parameters contain non-finite values$"):
+            train(data, cfg, solver=solver, trace_every=0)
+
+
 def _solve_then_step(model, sample, config, solver="greedy", _last=None):
     """``sgd_step`` as it was before the gamma_g == 1 shortcut: always solve,
     then apply the placement's weight-0 update and rebuild the Model. At
