@@ -493,10 +493,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         started = time.time()
-        # overflowing template responses are reported as a data error, so
-        # numpy's own warnings about them would only repeat it on stderr
-        with np.errstate(over="ignore", invalid="ignore"):
-            base, resolved, seed, outputs, *report = args.func(args)
+        base, resolved, seed, outputs, *report = args.func(args)
         record = {
             "tool": "lomo",
             "version": __version__,

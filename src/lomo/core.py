@@ -321,7 +321,8 @@ def score_fixed(
 
     ``k[i]`` is the frame assigned to template i. The placement must keep
     all pairs at distance >= ``t_eff`` + 1 (so any two entries are distinct
-    even at ``t_eff`` = 0).
+    even at ``t_eff`` = 0). As in every solver, a placed template response
+    that overflows to +-inf is a ``DataError``, with no numpy warning.
     """
     check_dim(model, sample)
     m = model.n_events
@@ -340,6 +341,11 @@ def score_fixed(
                     f"latent frames {k[i]} and {k[j]} closer than the required "
                     f"separation {min_dist}"
                 )
+    if _product_bound(model, sample) > _SAFE_PRODUCT_BOUND:
+        with np.errstate(over="ignore", invalid="ignore"):
+            placed = [float(model.templates[i].dot(sample.frames[ki])) for i, ki in enumerate(k)]
+        if not all(map(isfinite, placed)):
+            raise DataError(f"sample {sample.id!r}: template responses overflow to non-finite values")
     return _score_placement(model, sample, k, perm_rank(k))
 
 

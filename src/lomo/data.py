@@ -455,7 +455,9 @@ class SynthConfig:
     either carry the same prototypes in a uniformly drawn non-identity order
     (``shuffled_order``, isolating pure order information) or no prototypes
     at all (``events_absent``, isolating presence information). Gaussian
-    noise of scale ``noise_sigma`` is added to every frame.
+    noise of scale ``noise_sigma``, a finite number, is added to every
+    frame; a scale so large that a frame overflows makes
+    ``generate_synthetic`` raise ``DataError``.
     """
 
     dim: int
@@ -478,6 +480,8 @@ class SynthConfig:
             raise ValueError(f"n_min {self.n_min} exceeds n_max {self.n_max}")
         if self.min_gap < 0 or self.noise_sigma < 0:
             raise ValueError("min_gap and noise_sigma must be non-negative")
+        if not np.isfinite(self.noise_sigma):
+            raise ValueError(f"noise_sigma must be finite, got {self.noise_sigma}")
         if self.n_min < self.m_true * (self.min_gap + 1):
             raise InfeasibleError(
                 f"n_min {self.n_min} cannot host {self.m_true} events with "
@@ -508,6 +512,13 @@ def _place_events(rng: np.random.Generator, n: int, m: int, min_gap: int) -> np.
     return slack + np.arange(m) * min_gap
 
 
+def _noise(rng: np.random.Generator, config: SynthConfig, n: int) -> np.ndarray:
+    # a draw past the float range becomes +-inf with no numpy warning, and
+    # SequenceSample reports it as a DataError naming the sample
+    with np.errstate(over="ignore"):
+        return config.noise_sigma * rng.standard_normal((n, config.dim))
+
+
 def generate_synthetic(config: SynthConfig) -> Tuple[List[SequenceSample], List[SequenceSample]]:
     """Build (train, test) lists, each class split in half deterministically."""
     rng = np.random.default_rng(config.seed)
@@ -518,7 +529,7 @@ def generate_synthetic(config: SynthConfig) -> Tuple[List[SequenceSample], List[
     placements = []
     for i in range(config.n_pos):
         n = int(rng.integers(config.n_min, config.n_max + 1))
-        frames = config.noise_sigma * rng.standard_normal((n, config.dim))
+        frames = _noise(rng, config, n)
         pos = _place_events(rng, n, m, config.min_gap)
         for j in range(m):
             frames[pos[j]] += protos[j]
@@ -531,7 +542,7 @@ def generate_synthetic(config: SynthConfig) -> Tuple[List[SequenceSample], List[
             # Reuse a positive's length and placement so the frame multiset
             # matches a concrete positive exactly when noise_sigma == 0.
             n, pos = placements[i % config.n_pos]
-            frames = config.noise_sigma * rng.standard_normal((n, config.dim))
+            frames = _noise(rng, config, n)
             while True:
                 pattern = rng.permutation(m)
                 if not np.array_equal(pattern, np.arange(m)):
@@ -540,7 +551,7 @@ def generate_synthetic(config: SynthConfig) -> Tuple[List[SequenceSample], List[
                 frames[pos[pattern[j]]] += protos[j]
         else:
             n = int(rng.integers(config.n_min, config.n_max + 1))
-            frames = config.noise_sigma * rng.standard_normal((n, config.dim))
+            frames = _noise(rng, config, n)
         negatives.append(SequenceSample(f"neg{i:04d}", -1, frames))
 
     pos_split = (config.n_pos + 1) // 2

@@ -421,7 +421,8 @@ GRID_KEYS = ("lambda1", "coverage_t", "gamma_g")
 def _check_grid(spec: ModelSpec, grid: Dict[str, Sequence]) -> None:
     """Raise ``ValueError`` unless ``grid`` maps some of GRID_KEYS to lists of
     finite numbers, integers for coverage_t (bools are neither), each in the
-    range the spec's TrainConfig accepts for its key."""
+    range the spec's TrainConfig accepts for its key. Only gamma_g's list may
+    be empty, which skips the second stage."""
     for key, values in grid.items():
         if key not in GRID_KEYS:
             raise ValueError(f"unknown grid key {key!r}; expected {GRID_KEYS}")
@@ -431,6 +432,8 @@ def _check_grid(spec: ModelSpec, grid: Dict[str, Sequence]) -> None:
         ):
             what = "finite numbers" if floats else "integers"
             raise ValueError(f"{key} must be a list of {what}, got {values!r}")
+        if not values and key != "gamma_g":
+            raise ValueError(f"{key} must list at least one value, got []")
         for value in values:
             replace(spec.train_config, **{key: value})
 
@@ -464,8 +467,6 @@ def grid_search(
     lambdas = sorted(grid.get("lambda1", [base.lambda1]))
     coverages = sorted(grid.get("coverage_t", [base.coverage_t]))
     gammas = sorted(grid.get("gamma_g", []))
-    if not lambdas or not coverages:
-        raise ValueError("grid must contain at least one lambda1 and one coverage_t value")
 
     cache: Dict[TrainConfig, float] = {}
     rows: List[Dict] = []

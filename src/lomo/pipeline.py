@@ -152,11 +152,13 @@ def predict(
     solver: str = "greedy",
 ):
     """Raw score(s) for one sample: a float for a binary model, an array of
-    per-class scores for a multiclass model."""
+    per-class scores for a multiclass model. A score that overflows to
+    +-inf is a ``DataError`` naming the sample, as in ``predict_table``."""
+    infer_fn = SOLVERS[solver]
     if isinstance(model, MulticlassModel):
-        infer_fn = SOLVERS[solver]
-        return np.array([infer_fn(m, sample).total for m in model.per_class])
-    return SOLVERS[solver](model, sample).total
+        per_class = model.per_class
+        return np.array(_totals([sample] * len(per_class), [infer_fn(m, sample) for m in per_class]))
+    return _totals((sample,), (infer_fn(model, sample),))[0]
 
 
 def decide(scores, class_labels: Optional[Sequence[int]] = None) -> np.ndarray:
@@ -216,6 +218,10 @@ def late_fusion(
     each table per class to zero mean and unit variance over the evaluated
     set (population variance; an all-constant column normalizes to zeros)
     and then forms the sum weighted by finite weights, default all one.
+
+    Finite tables can still overflow: a table's mean or standard deviation,
+    or a fused entry, that passes the float range is a ``DataError``, with
+    no numpy warning. Every finite result is unchanged by that check.
     """
     if mode not in FUSION_MODES:
         raise ValueError(f"fusion mode must be one of {FUSION_MODES}, got {mode!r}")
@@ -231,17 +237,27 @@ def late_fusion(
     if mode == "equal_mean":
         if weights is not None:
             raise ValueError("equal_mean fusion takes no weights")
-        return np.mean(arrays, axis=0)
-    weights = np.ones(len(arrays)) if weights is None else np.asarray(weights, dtype=np.float64)
-    if weights.shape != (len(arrays),) or not np.isfinite(weights).all():
-        raise ValueError(
-            f"need {len(arrays)} finite weights, one per table, got {weights.tolist()}")
-    fused = np.zeros(shape)
-    for w, a in zip(weights, arrays):
-        mean = a.mean(axis=0)
-        std = a.std(axis=0)  # population variance, denominator n
-        z = np.where(std > 0.0, (a - mean) / np.where(std > 0.0, std, 1.0), 0.0)
-        fused += float(w) * z
+    else:
+        weights = np.ones(len(arrays)) if weights is None else np.asarray(weights, dtype=np.float64)
+        if weights.shape != (len(arrays),) or not np.isfinite(weights).all():
+            raise ValueError(
+                f"need {len(arrays)} finite weights, one per table, got {weights.tolist()}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "equal_mean":
+            fused = np.mean(arrays, axis=0)
+        else:
+            fused = np.zeros(shape)
+            for i, (w, a) in enumerate(zip(weights, arrays)):
+                mean = a.mean(axis=0)
+                std = a.std(axis=0)  # population variance, denominator n
+                if not np.isfinite(std).all():  # as it is whenever the mean is not
+                    raise DataError(
+                        f"score table {i}: its mean or standard deviation overflows "
+                        "to non-finite values")
+                z = np.where(std > 0.0, (a - mean) / np.where(std > 0.0, std, 1.0), 0.0)
+                fused += float(w) * z
+    if not np.isfinite(fused).all():
+        raise DataError("the fused scores overflow to non-finite values")
     return fused
 
 

@@ -289,7 +289,7 @@ def _regularizer(model: Model, config: TrainConfig) -> float:
     """lambda1/2 (sum_i ||w_i||^2 + ||w_g||^2) + lambda2/2 sum_j c_j^2.
 
     A finite parameter past about 1.3e154 squares to +inf; that runs with
-    numpy's overflow warnings off and is left to ``objective``'s check.
+    numpy's overflow warnings off and is left to its callers' ``_finite_loss``.
     """
     with np.errstate(over="ignore"):
         reg = 0.5 * config.lambda1 * float(np.sum(model.templates**2))
@@ -297,6 +297,14 @@ def _regularizer(model: Model, config: TrainConfig) -> float:
             reg += 0.5 * config.lambda1 * float(np.sum(model.global_template**2))
         reg += 0.5 * config.lambda2 * float(np.sum(model.ordering_costs**2))
     return reg
+
+
+def _finite_loss(value: float, what: str) -> float:
+    """value, unless finite parameters and scores summed or squared it past
+    the float range: then a ``LomoError`` naming ``what``."""
+    if not isfinite(value):
+        raise LomoError(f"{what} overflows to a non-finite value")
+    return value
 
 
 def objective(
@@ -320,10 +328,7 @@ def objective(
         s = infer_fn(model, sample).total
         hinge += max(0.0, 1.0 - sample.label * s)
     value = _regularizer(model, config) + hinge / len(dataset)
-    if not isfinite(value):
-        where = "" if _step is None else f" at step {_step}"
-        raise LomoError(f"the objective{where} overflows to a non-finite value")
-    return value
+    return _finite_loss(value, "the objective" if _step is None else f"the objective at step {_step}")
 
 
 def train(
@@ -392,9 +397,13 @@ def fixed_assignment_loss(
     k: Sequence[int],
     config: TrainConfig,
 ) -> float:
-    """Single-sample regularized hinge loss with the placement frozen at k."""
+    """Single-sample regularized hinge loss with the placement frozen at k.
+
+    A loss that overflows to a non-finite value is a ``LomoError``, as in
+    ``objective``."""
     s = score_fixed(model, sample, k).total
-    return _regularizer(model, config) + max(0.0, 1.0 - sample.label * s)
+    return _finite_loss(_regularizer(model, config) + max(0.0, 1.0 - sample.label * s),
+                        "the fixed-assignment loss")
 
 
 def fixed_assignment_gradient(
@@ -407,21 +416,25 @@ def fixed_assignment_gradient(
 
     Returns (d_templates, d_costs, d_global); d_global is None when the
     model has no global template. At the hinge kink (y * s == 1) the
-    violation side is reported.
+    violation side is reported. A gradient entry that overflows to a
+    non-finite value is a ``LomoError``, with no numpy warning.
     """
     y = sample.label
     k = tuple(int(x) for x in k)
     s = score_fixed(model, sample, k).total
     m = model.n_events
     gamma = model.gamma_g
-    d_templates = config.lambda1 * model.templates.copy()
-    d_costs = config.lambda2 * model.ordering_costs.copy()
-    d_global = None
-    if model.global_template is not None:
-        d_global = config.lambda1 * model.global_template.copy()
-    if y * s <= 1.0:
-        d_templates -= ((1.0 - gamma) * y / m) * sample.frames[list(k)]
-        d_costs[perm_rank(k) - 1] -= (1.0 - gamma) * y
-        if d_global is not None:
-            d_global -= gamma * y * pool(sample, model.pooling)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_templates = config.lambda1 * model.templates
+        d_costs = config.lambda2 * model.ordering_costs
+        d_global = None
+        if model.global_template is not None:
+            d_global = config.lambda1 * model.global_template
+        if y * s <= 1.0:
+            d_templates -= ((1.0 - gamma) * y / m) * sample.frames[list(k)]
+            d_costs[perm_rank(k) - 1] -= (1.0 - gamma) * y
+            if d_global is not None:
+                d_global -= gamma * y * pool(sample, model.pooling)
+    if not all(np.isfinite(d).all() for d in (d_templates, d_costs, d_global) if d is not None):
+        raise LomoError("the fixed-assignment gradient overflows to non-finite values")
     return d_templates, d_costs, d_global

