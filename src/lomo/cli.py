@@ -53,7 +53,6 @@ from .inference import BRUTE_FORCE_GUARD, SOLVERS, solve_set
 from .pipeline import (
     KIND_ALIASES,
     ModelSpec,
-    _totals,
     decide,
     derive_seed,
     late_fusion,
@@ -222,7 +221,7 @@ def cmd_predict(args):
     samples, _ = load_dataset(args.manifest)
     model = loaded.model
     assignments = solve_set(model, samples, args.solver)
-    decisions = decide(_totals(samples, assignments))
+    decisions = decide([a.total for a in assignments])
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
         header = ["id", "label", "score", "decision"]

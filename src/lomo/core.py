@@ -293,7 +293,7 @@ def check_dim(model: Model, sample: SequenceSample) -> None:
 
 
 # Up to this ``_product_bound`` no template response can overflow (the
-# argument is in ``inference._responses``), so no solve can fail on one.
+# argument is in ``_responses``), so no solve can fail on one.
 _SAFE_PRODUCT_BOUND = 1e300
 
 
@@ -311,6 +311,33 @@ def _product_bound(model: Model, sample: SequenceSample) -> float:
     return model._magnitude * sample._magnitude * model.dim
 
 
+def _responses(model: Model, sample: SequenceSample) -> np.ndarray:
+    """The (M, N) template responses, checked finite: an overflow to +-inf
+    would leave no comparable placement scores.
+
+    The check is needed only when the magnitudes allow an overflow. A
+    response is a dot product of d terms whose magnitudes sum to at most
+    d*a*b, a and b the largest absolute template and frame entries, so in
+    any summation order, with or without fused multiply-adds, its computed
+    value is at most d*a*b*(1 + gamma_d), gamma_d = d*u / (1 - d*u) with
+    u = 2**-53. When R = ``_product_bound`` <= 1e300, d*a*b is at most
+    R*(1 + u)**2 plus an underflow term far below 1, and every response
+    stays below DBL_MAX (about 1.8e308) with no entry inf or NaN. Otherwise
+    the matmul and the check run with numpy's overflow warnings off: a +-inf
+    or NaN entry makes the sum non-finite, so a finite sum clears the matrix
+    in one reduction; finite entries can still overflow the sum, and then
+    each entry is checked.
+    """
+    check_dim(model, sample)
+    if _product_bound(model, sample) <= _SAFE_PRODUCT_BOUND:
+        return model.templates @ sample.frames.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        resp = model.templates @ sample.frames.T
+        if not isfinite(resp.sum()) and not np.isfinite(resp).all():
+            raise DataError(f"sample {sample.id!r}: template responses overflow to non-finite values")
+    return resp
+
+
 def score_fixed(
     model: Model,
     sample: SequenceSample,
@@ -321,8 +348,8 @@ def score_fixed(
 
     ``k[i]`` is the frame assigned to template i. The placement must keep
     all pairs at distance >= ``t_eff`` + 1 (so any two entries are distinct
-    even at ``t_eff`` = 0). As in every solver, a placed template response
-    that overflows to +-inf is a ``DataError``, with no numpy warning.
+    even at ``t_eff`` = 0). As in every solver, a template response or a
+    score that overflows to +-inf is a ``DataError``, with no numpy warning.
     """
     check_dim(model, sample)
     m = model.n_events
@@ -341,19 +368,19 @@ def score_fixed(
                     f"latent frames {k[i]} and {k[j]} closer than the required "
                     f"separation {min_dist}"
                 )
-    if _product_bound(model, sample) > _SAFE_PRODUCT_BOUND:
-        with np.errstate(over="ignore", invalid="ignore"):
-            placed = [float(model.templates[i].dot(sample.frames[ki])) for i, ki in enumerate(k)]
-        if not all(map(isfinite, placed)):
-            raise DataError(f"sample {sample.id!r}: template responses overflow to non-finite values")
+    _responses(model, sample)
     return _score_placement(model, sample, k, perm_rank(k))
 
 
 def _score_placement(model: Model, sample: SequenceSample, k: tuple, rank: int) -> LatentAssignment:
     """``score_fixed`` without its checks, for placements a solver has built.
 
-    ``k`` is a tuple of ints that passes ``score_fixed``'s dimension, bounds
-    and spacing checks, and ``rank`` is its ``perm_rank``.
+    ``k`` is a tuple of ints that passes ``score_fixed``'s checks, and
+    ``rank`` is its ``perm_rank``. The one home of the finite-score rule:
+    finite responses, costs and global terms can still sum past the float
+    range, and a total that does is a ``DataError`` naming the sample. At
+    ``gamma_g == 1`` the local part has weight 0, so when it overflows (and
+    0 * +-inf makes the total NaN) the total is the global term alone.
     """
     m = len(k)
     templates, frames = model.templates, sample.frames
@@ -368,6 +395,10 @@ def _score_placement(model: Model, sample: SequenceSample, k: tuple, rank: int) 
     global_score = _global_score(model, sample)
     gamma = model.gamma_g
     total = gamma * global_score + (1.0 - gamma) * (template_score + ordering_cost)
+    if not isfinite(total):
+        if gamma != 1.0:
+            raise DataError(f"sample {sample.id!r}: the score overflows to non-finite values")
+        total = global_score
     # the frozen dataclass's __init__ would route each field through
     # object.__setattr__; the fields go straight into the instance dict
     assignment = object.__new__(LatentAssignment)

@@ -280,7 +280,8 @@ def _score_metrics(
     class_labels: Optional[List[int]],
 ) -> Dict[str, float]:
     """Metric values for a score table: 1-D binary with class_labels None, or
-    (n, C) one-vs-all with one class label per column."""
+    (n, C) one-vs-all with one class label per column. Every caller has
+    checked ``names`` against ``METRIC_NAMES``."""
     decisions = decide(scores, class_labels)
     out: Dict[str, float] = {}
     for name in names:
@@ -290,14 +291,12 @@ def _score_metrics(
             out[name] = average_class_accuracy(decisions, labels)
         elif name == "map":
             out[name] = mean_average_precision(scores, labels, class_labels)
-        elif name in ("auc", "eer"):
+        else:  # auc or eer
             fn = auc if name == "auc" else roc_eer_rate
             out[name] = (
                 fn(scores, labels) if class_labels is None
                 else _one_vs_all_mean(fn, scores, labels, class_labels, need_negatives=True)
             )
-        else:
-            raise ValueError(f"unknown metric {name!r}; expected one of {METRIC_NAMES}")
     return out
 
 

@@ -29,7 +29,6 @@ sequence per step and calls the solvers directly.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import List, Sequence
@@ -37,11 +36,10 @@ from typing import List, Sequence
 import numpy as np
 
 from .core import (
-    MAX_EVENTS, LatentAssignment, Model, SequenceSample, _SAFE_PRODUCT_BOUND, _product_bound,
-    _score_placement, check_dim, perm_rank,
+    MAX_EVENTS, LatentAssignment, Model, SequenceSample, _responses, _score_placement, perm_rank,
 )
 from .core import score_fixed  # noqa: F401  (module attribute that tracers patch)
-from .errors import DataError, InfeasibleError
+from .errors import InfeasibleError
 
 BRUTE_FORCE_GUARD = 10**7
 BLOCK_LEAVES = 24  # orderings per deferred choice in _solve_stack
@@ -115,33 +113,6 @@ def _plan(m: int):
             walk[i] = walk[i][:3] + (ranks.index(walk[i][2]), None)
         walk[block[-1]] = walk[block[-1]][:4] + (np.array(ranks, dtype=np.intp),)
     return slot_orders, np.array(slot_orders, dtype=np.intp), tuple(walk)
-
-
-def _responses(model: Model, sample: SequenceSample) -> np.ndarray:
-    """The (M, N) template responses, checked finite: an overflow to +-inf
-    would leave no comparable placement scores.
-
-    The check is needed only when the magnitudes allow an overflow. A
-    response is a dot product of d terms whose magnitudes sum to at most
-    d*a*b, a and b the largest absolute template and frame entries, so in
-    any summation order, with or without fused multiply-adds, its computed
-    value is at most d*a*b*(1 + gamma_d), gamma_d = d*u / (1 - d*u) with
-    u = 2**-53. When R = ``_product_bound`` <= 1e300, d*a*b is at most
-    R*(1 + u)**2 plus an underflow term far below 1, and every response
-    stays below DBL_MAX (about 1.8e308) with no entry inf or NaN. Otherwise
-    the matmul and the check run with numpy's overflow warnings off: a +-inf
-    or NaN entry makes the sum non-finite, so a finite sum clears the matrix
-    in one reduction; finite entries can still overflow the sum, and then
-    each entry is checked.
-    """
-    check_dim(model, sample)
-    if _product_bound(model, sample) <= _SAFE_PRODUCT_BOUND:
-        return model.templates @ sample.frames.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        resp = model.templates @ sample.frames.T
-        if not math.isfinite(resp.sum()) and not np.isfinite(resp).all():
-            raise DataError(f"sample {sample.id!r}: template responses overflow to non-finite values")
-    return resp
 
 
 def _scaled(model: Model, sample: SequenceSample):
@@ -373,8 +344,9 @@ def _solve_stack(rows, gap: int, weighted_costs):
 
 def _solve_set_dp(model: Model, samples: Sequence[SequenceSample]) -> List[LatentAssignment]:
     m = model.n_events
-    # Check and scale every sample in input order first, so the first bad
-    # sample raises what a loop of infer_dp calls would raise.
+    # Check and scale every sample in input order first, and score the
+    # placements in input order last, so each check names its first bad
+    # sample.
     scaled = []
     groups = {}
     for i, sample in enumerate(samples):
@@ -383,7 +355,7 @@ def _solve_set_dp(model: Model, samples: Sequence[SequenceSample]) -> List[Laten
         # lengths within a factor of two share a stack, so padding at most doubles it
         groups.setdefault((gap, sample.n_frames.bit_length()), []).append(i)
     weighted_costs = model._weighted_costs[0]
-    results = [None] * len(samples)
+    placed = [None] * len(samples)  # (k, perm_rank) per sample
     for (gap, _), members in groups.items():
         length = max(samples[i].n_frames for i in members)
         rows = np.full((m, length, len(members)), -np.inf)
@@ -392,8 +364,8 @@ def _solve_set_dp(model: Model, samples: Sequence[SequenceSample]) -> List[Laten
         with np.errstate(over="ignore"):  # as in infer_dp's float sums: +-inf, no warning
             placements, ranks0 = _solve_stack(rows, gap, weighted_costs)
         for i, k, rank0 in zip(members, placements, ranks0):
-            results[i] = _score_placement(model, samples[i], k, rank0 + 1)
-    return results
+            placed[i] = (k, rank0 + 1)
+    return [_score_placement(model, s, k, rank) for s, (k, rank) in zip(samples, placed)]
 
 
 def solve_set(model: Model, samples: Sequence[SequenceSample], solver: str) -> List[LatentAssignment]:
@@ -403,7 +375,9 @@ def solve_set(model: Model, samples: Sequence[SequenceSample], solver: str) -> L
     samples that share ``effective_t`` and a length within a factor of two
     are stacked, padded with -inf, and each suffix stage is one array
     operation over the stack. Every result equals ``infer_dp``'s bit for
-    bit, and the first invalid sample raises what ``infer_dp`` raises on it.
+    bit. An invalid set raises what ``infer_dp`` raises on the first sample
+    whose responses overflow, else on the first whose global term or total
+    does.
     """
     if solver == "dp":
         return _solve_set_dp(model, samples)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
-from math import factorial, isfinite
+from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -152,13 +152,11 @@ def predict(
     solver: str = "greedy",
 ):
     """Raw score(s) for one sample: a float for a binary model, an array of
-    per-class scores for a multiclass model. A score that overflows to
-    +-inf is a ``DataError`` naming the sample, as in ``predict_table``."""
+    per-class scores for a multiclass model."""
     infer_fn = SOLVERS[solver]
     if isinstance(model, MulticlassModel):
-        per_class = model.per_class
-        return np.array(_totals([sample] * len(per_class), [infer_fn(m, sample) for m in per_class]))
-    return _totals((sample,), (infer_fn(model, sample),))[0]
+        return np.array([infer_fn(m, sample).total for m in model.per_class])
+    return infer_fn(model, sample).total
 
 
 def decide(scores, class_labels: Optional[Sequence[int]] = None) -> np.ndarray:
@@ -176,17 +174,6 @@ def decide(scores, class_labels: Optional[Sequence[int]] = None) -> np.ndarray:
     return np.asarray(class_labels)[np.argmax(scores, axis=1)]
 
 
-def _totals(samples: Sequence[SequenceSample], assignments) -> List[float]:
-    """The assignments' scores, checked finite: finite responses, costs and
-    global terms can still sum past the float range, and a score that does
-    is a ``DataError`` naming the sample, as an overflowing response is."""
-    totals = [a.total for a in assignments]
-    for sample, total in zip(samples, totals):
-        if not isfinite(total):
-            raise DataError(f"sample {sample.id!r}: the score overflows to non-finite values")
-    return totals
-
-
 def predict_table(
     model: Union[Model, MulticlassModel],
     samples: Sequence[SequenceSample],
@@ -195,13 +182,12 @@ def predict_table(
     """Scores for a whole evaluation set: shape (n,) binary, (n, C) multiclass.
 
     Solves the set once per binary model with ``solve_set``; the table holds
-    the scores ``predict`` gives sample by sample, bit for bit. A score that
-    overflows to +-inf is a ``DataError`` naming the sample.
+    the scores ``predict`` gives sample by sample, bit for bit.
     """
     if isinstance(model, MulticlassModel):
-        columns = [_totals(samples, solve_set(m, samples, solver)) for m in model.per_class]
+        columns = [[a.total for a in solve_set(m, samples, solver)] for m in model.per_class]
         return np.array(list(zip(*columns)))
-    return np.array(_totals(samples, solve_set(model, samples, solver)))
+    return np.array([a.total for a in solve_set(model, samples, solver)])
 
 
 FUSION_MODES = ("equal_mean", "zscore_weighted")

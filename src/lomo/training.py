@@ -192,7 +192,10 @@ def _certifies(model: Model, sample: SequenceSample, entry) -> bool:
     if bound > _SAFE_PRODUCT_BOUND:  # a response may overflow, which only a solve reports
         return False
     k, rank = entry
-    lb = _score_placement(model, sample, k, rank).total
+    try:
+        lb = _score_placement(model, sample, k, rank).total
+    except DataError:  # the stored placement's total overflows; the solve decides
+        return False
     if lb < 1.0:
         return False
     c = model.ordering_costs
@@ -316,9 +319,10 @@ def objective(
 ) -> float:
     """Exact regularized objective with scores from the named solver.
 
-    Finite parameters and scores can still sum or square past the float
-    range. A value that does is a ``LomoError``, not ±inf or a numpy
-    warning; ``train`` passes ``_step`` so that the error names its step.
+    A score that overflows is the solver's ``DataError``. Finite parameters
+    and scores can still sum or square past the float range. A value that
+    does is a ``LomoError``, not ±inf or a numpy warning; ``train`` passes
+    ``_step`` so that the error names its step.
     """
     if not dataset:
         raise DataError("objective requires a non-empty dataset")
@@ -399,7 +403,8 @@ def fixed_assignment_loss(
 ) -> float:
     """Single-sample regularized hinge loss with the placement frozen at k.
 
-    A loss that overflows to a non-finite value is a ``LomoError``, as in
+    A score that overflows is ``score_fixed``'s ``DataError``, and a loss
+    that overflows to a non-finite value is a ``LomoError``, as in
     ``objective``."""
     s = score_fixed(model, sample, k).total
     return _finite_loss(_regularizer(model, config) + max(0.0, 1.0 - sample.label * s),

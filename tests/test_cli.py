@@ -229,6 +229,22 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("solver", ["greedy", "dp", "brute"])
+    def test_a_score_past_the_float_range_exits_2(self, tmp_path, capsys, solver):
+        # both responses are finite, but their sum, the score, is +inf
+        (tmp_path / "big.lseq").write_text("lseq 1 1\nseq big 1 - 2\n1.5e308\n1.5e308\n")
+        (tmp_path / "m.json").write_text(
+            '{"version": 1, "dim": 1, "entries": [{"path": "big.lseq", "label": 1}]}')
+        out = tmp_path / "big.bin"
+        # seed 1 draws initial templates of 0.51 and 0.95 on [0, 1]
+        assert main([
+            "train", "--manifest", str(tmp_path / "m.json"), "--events", "2", "--coverage-t", "0",
+            "--init-scale", "1", "--seed", "1", "--solver", solver, "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "lomo: data error: sample 'big': the score overflows to non-finite values\n")
+        assert not out.exists() and not (tmp_path / "big.bin.run.json").exists()
+
+    @pytest.mark.parametrize("solver", ["greedy", "dp", "brute"])
     def test_overflow_prints_no_numpy_warning(self, tmp_path, capsys, solver):
         # the CI overflow step's data: finite frames near 1e200
         from lomo import Manifest, ManifestEntry, SequenceSample, save_manifest, write_lseq

@@ -19,6 +19,8 @@ from lomo import (
     infer_dp,
     infer_greedy,
     perm_rank,
+    predict,
+    predict_table,
     score_fixed,
     solve_set,
 )
@@ -530,16 +532,29 @@ class TestNonFiniteResponses:
         assert str(raised.value) == (
             "sample 'huge': template responses overflow to non-finite values")
 
-    def test_finite_responses_whose_sum_overflows_are_accepted(self):
+    def test_finite_responses_whose_sum_overflows_are_a_data_error(self):
         model = Model(templates=np.eye(2), ordering_costs=np.zeros(2))
         sample = SequenceSample("big", 1, np.full((4, 2), 1.5e308))
         # the magnitudes allow an overflow, so the responses are checked
         assert not _product_bound(model, sample) <= 1e300
-        # every response ties, so each solver takes rank 1 at the first frames
-        want = repr(score_fixed(model, sample, (0, 1)))
-        for solver in ("greedy", "dp", "brute"):
-            assert repr(inference.SOLVERS[solver](model, sample)) == want, solver
-        assert repr(solve_set(model, [sample], "dp")) == repr([infer_dp(model, sample)])
+        # every response is finite, but the two placed ones sum to +inf
+        calls = [lambda: score_fixed(model, sample, (0, 1)), lambda: solve_set(model, [sample], "dp")]
+        calls += [lambda infer=infer: infer(model, sample) for infer in inference.SOLVERS.values()]
+        for call in calls:
+            with pytest.raises(DataError) as raised:
+                call()
+            assert str(raised.value) == "sample 'big': the score overflows to non-finite values"
+
+    def test_solve_set_names_the_first_bad_total_in_input_order(self):
+        # B and C overflow only in their totals; C shares A's length bucket
+        model, _ = _low_scores()
+        samples = [SequenceSample("A", 1, np.ones((30, 1))), SequenceSample("B", 1, np.full((5, 1), -1e308)),
+                   SequenceSample("C", 1, np.full((30, 1), -1e308))]
+        for solver in inference.SOLVERS:
+            for call in (solve_set, predict_table):
+                with pytest.raises(DataError) as raised:
+                    call(model, samples, solver)
+                assert str(raised.value) == "sample 'B': the score overflows to non-finite values"
 
     def test_solve_set_names_the_first_bad_sample(self, rng):
         model = Model(templates=np.full((2, 2), 1e200), ordering_costs=np.zeros(2))
@@ -601,11 +616,32 @@ def _low_scores(sid="low"):
 class TestOverflowingPlacementValues:
     @pytest.mark.parametrize("solver", ["greedy", "dp", "brute"])
     def test_every_value_at_minus_inf_takes_rank_1_at_the_first_frames(self, solver):
+        # the exact solvers once crashed with a TypeError when every
+        # ordering's value was -inf; now the placement they take is scored,
+        # and its -inf total is refused
         model, sample = _low_scores()
-        want = repr(score_fixed(model, sample, (0, 1)))
-        assert "total=-inf" in want
-        assert repr(inference.SOLVERS[solver](model, sample)) == want
-        assert repr(solve_set(model, [sample], solver)) == repr([infer_dp(model, sample)])
+        for call in (lambda: score_fixed(model, sample, (0, 1)),
+                     lambda: inference.SOLVERS[solver](model, sample),
+                     lambda: solve_set(model, [sample], solver)):
+            with pytest.raises(DataError) as raised:
+                call()
+            assert str(raised.value) == "sample 'low': the score overflows to non-finite values"
+
+
+class TestGlobalOnlyScore:
+    @pytest.mark.parametrize("solver", ["greedy", "dp", "brute"])
+    def test_the_total_is_the_global_term(self, solver):
+        # at gamma_g == 1 two responses of -1e308 sum past the float range,
+        # while the global term is -1e8
+        model = Model(templates=[[1.0], [1.0]], ordering_costs=[0, 0], global_template=[1e-300],
+                      gamma_g=1.0, pooling="max")
+        sample = SequenceSample("r2", 1, np.full((3, 1), -1e308))
+        got = inference.SOLVERS[solver](model, sample)
+        assert got.template_score == -np.inf
+        assert got.global_score == -1e8 and got.total == -1e8
+        assert [a.total for a in solve_set(model, [sample], solver)] == [-1e8]
+        assert predict(model, sample, solver) == -1e8
+        assert score_fixed(model, sample, got.k).total == -1e8
 
 
 class TestSolverScoring:

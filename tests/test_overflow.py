@@ -124,16 +124,18 @@ def check_library(samples, spec, model, tables, weights):
         assert value is None or isfinite(value), (solver, value)
         table = finite_or_typed(lambda: predict_table(model, samples, solver))
         assert table is None or all_finite(table), (solver, table)
+        # a set that cannot be scored has no objective either
+        assert table is not None or value is None, (solver, value)
         if table is not None:
             check_fusion([table, table], weights)
         for sample in samples:
             score = finite_or_typed(lambda: predict(model, sample, solver))
             assert score is None or isfinite(score), (solver, sample, score)
-        # a solver's total may pass the float range only in its local part,
-        # the template responses' sum plus the ordering cost
         for a in finite_or_typed(lambda: solve_set(model, samples, solver)) or ():
             assert isfinite(a.global_score), (solver, a)
-            assert isfinite(a.total) or not isfinite(a.template_score + a.ordering_cost), (solver, a)
+            assert isfinite(a.total), (solver, a)
+            # at gamma_g == 1 the local part has weight 0
+            assert model.gamma_g < 1.0 or a.total == a.global_score, (solver, a)
     folds = make_folds(samples, "random_k_fold", k=2, seed=config.seed)
     report = finite_or_typed(lambda: cross_validate(samples, folds, spec, ("acc",), "dp"))
     assert report is None or all_finite(list(report.aggregate.values())), report

@@ -299,6 +299,36 @@ class TestOverflowIsTyped:
         assert type(caught.value) is LomoError
         assert str(caught.value) == "the fixed-assignment gradient overflows to non-finite values"
 
+    @pytest.mark.parametrize("solver", ["greedy", "dp", "brute"])
+    def test_a_score_past_the_float_range_is_a_data_error(self, solver):
+        # each response is 1.5e308, and the template score their sum over 2:
+        # a +inf score is refused, not counted as a met margin
+        model = Model(templates=[[1.0], [1.0]], ordering_costs=[0, 0])
+        sample = make_sample([[1.5e308], [1.5e308]], 1, "big")
+        cfg = TrainConfig(M=2, coverage_t=0)
+        # the default initial templates are below 1e-4, too small to overflow;
+        # seed 1 draws 0.51 and 0.95 on [0, 1], whose responses sum past DBL_MAX
+        calls = [lambda: objective(model, [sample], cfg, solver),
+                 lambda: sgd_step(model, sample, cfg, solver),
+                 lambda: train([sample], replace(cfg, init_scale=1.0, seed=1), solver, trace_every=0),
+                 lambda: fixed_assignment_loss(model, sample, (0, 1), cfg)]
+        for call in calls:
+            with pytest.raises(DataError) as caught:
+                call()
+            assert str(caught.value) == "sample 'big': the score overflows to non-finite values"
+
+    @pytest.mark.parametrize("solver", ["greedy", "dp", "brute"])
+    def test_an_overflowing_local_part_has_no_weight_at_gamma_1(self, solver):
+        # the local part sums to -inf and 0 * -inf is NaN, which the hinge
+        # once counted as 0; the score is the global term, -1e8
+        model = Model(templates=[[1.0], [1.0]], ordering_costs=[0, 0], global_template=[1e-300],
+                      gamma_g=1.0, pooling="max")
+        sample = make_sample(np.full((3, 1), -1e308), 1, "r2")
+        cfg = TrainConfig(M=2, gamma_g=1.0, coverage_t=0, pooling="max", lambda1=0.0)
+        assert objective(model, [sample], cfg, solver) == 1.0 + 1e8
+        assert fixed_assignment_loss(model, sample, (0, 1), cfg) == 1.0 + 1e8
+        assert sgd_step(model, sample, cfg, solver) is not model  # a violation
+
     def test_fixed_assignment_loss_of_an_overflowing_response_is_a_data_error(self):
         # 1e200 * 1e150 passes the float range in score_fixed's placed response
         model = Model(templates=[[1e200]], ordering_costs=[0.0])
@@ -615,6 +645,18 @@ class TestCertifiedMargin:
             with pytest.raises(DataError, match="responses overflow"):
                 sgd_step(model, sample, TrainConfig(M=1), "dp", _last=last)
         assert last.certified == 0
+
+    def test_a_stored_placement_whose_score_overflows_is_solved(self, monkeypatch):
+        # the stored placement's cost of -DBL_MAX plus its template score of
+        # -1e299 is -inf; the solve finds the finite optimum at rank 1
+        model = Model(templates=[[1.0], [1.0]], ordering_costs=[0.0, -1.7976931348623157e308])
+        sample = make_sample(np.full((4, 1), -1e299))
+        last = _LastPlacements()
+        last.entries[sample] = ((1, 0), 2)
+        calls = _counting_solvers(monkeypatch)
+        assert sgd_step(model, sample, TrainConfig(M=2, coverage_t=0), "dp", _last=last) is not model
+        assert calls == [("dp", 1)] and last.certified == 0
+        assert last.entries[sample] == ((0, 1), 1)
 
     def test_skips_dp_calls_on_planted_data_only(self, monkeypatch):
         import lomo.training
