@@ -21,13 +21,13 @@ import itertools
 import json
 import os
 import pickle
-import signal
 import warnings
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._helper import helper_process
 from .core import SequenceSample, is_binary
 from .errors import DataError, InfeasibleError
 
@@ -334,25 +334,13 @@ def _helper_split(sizes: List[int]) -> Optional[int]:
     """How many of the files of ``sizes`` this process reads when one forked
     helper reads the rest, or None when this process reads them all.
 
-    The helper runs only for at least two files of ``_HELPER_MIN_BYTES`` in
-    all, on at least two usable CPUs, where ``fork`` exists, and not in a
-    daemonic ``multiprocessing`` worker, which may start no process. The
-    split is contiguous and leaves the two parts as near equal in bytes as
-    it can.
+    A helper is worth its fork only for at least two files of
+    ``_HELPER_MIN_BYTES`` in all; ``helper_process`` decides whether one can
+    run. The split is contiguous and leaves the two parts as near equal in
+    bytes as it can.
     """
     total = sum(sizes)
     if len(sizes) < 2 or total < _HELPER_MIN_BYTES:
-        return None
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    if cpus < 2:
-        return None
-    import multiprocessing
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
         return None
     front = list(itertools.accumulate(sizes[:-1]))
     return 1 + min(range(len(front)), key=lambda j: abs(2 * front[j] - total))
@@ -361,49 +349,32 @@ def _helper_split(sizes: List[int]) -> Optional[int]:
 def _read_files(paths: List[str], sizes: List[int]):
     """Yield ``read_lseq(path)`` for each of ``paths``, in order.
 
-    When ``_helper_split`` allows, a forked helper reads the back part of
-    the files while this process reads the front part, and then hands back
-    the samples it loaded as one pickle per file. The helper stops at its
-    first failure, and this process reads that file, and any file a helper
-    that died did not deliver, itself: every result and exception is the
-    one reading the files here one by one would give. No helper outlives
-    the generator's close.
+    When ``_helper_split`` splits the files and ``helper_process`` starts a
+    helper, the helper reads the back part of the files while this process
+    reads the front part, and then hands back the samples it loaded as one
+    pickle per file. The helper stops at its first failure, and this process
+    reads that file, and any file a helper that died did not deliver,
+    itself: every result and exception is the one reading the files here
+    one by one would give. No helper outlives the generator's close.
     """
     split = _helper_split(sizes)
-    started = None if split is None else _start_helper(paths[split:])
-    if started is None:
+    if split is None:
         yield from map(read_lseq, paths)
         return
-    helper, incoming = started
-    try:
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as incoming, contextlib.ExitStack() as stack:
+        try:
+            helper = stack.enter_context(
+                helper_process(_send_files, paths[split:], read_end, write_end))
+        finally:
+            os.close(write_end)  # the helper's end: a helper that dies ends the stream
+        if helper is None:
+            yield from map(read_lseq, paths)
+            return
         yield from map(read_lseq, paths[:split])
         delivered = _receive(incoming)
         yield from delivered
         yield from map(read_lseq, paths[split + len(delivered):])
-    finally:
-        helper.terminate()
-        helper.join()
-        incoming.close()
-
-
-def _start_helper(paths: List[str]):
-    """Fork the helper that reads ``paths``; returns it with the file this
-    process receives its samples from, or None when no process could be
-    started."""
-    import multiprocessing
-
-    read_end, write_end = os.pipe()
-    helper = multiprocessing.get_context("fork").Process(
-        target=_send_files, args=(paths, read_end, write_end)
-    )
-    try:
-        helper.start()
-    except OSError:  # no process to spare: the caller reads every file itself
-        os.close(read_end)
-        return None
-    finally:
-        os.close(write_end)
-    return helper, open(read_end, "rb")
 
 
 def _send_files(paths: List[str], read_end: int, write_end: int) -> None:
@@ -416,8 +387,6 @@ def _send_files(paths: List[str], read_end: int, write_end: int) -> None:
     as it parsed would block on the pipe's 64 KiB until then, and the two
     processes would no longer parse at once.
     """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # so that terminate() always ends it
     os.close(read_end)
     files = []
     try:

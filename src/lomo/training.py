@@ -23,13 +23,16 @@ initialization and the sampling sequence.
 
 from __future__ import annotations
 
+import contextlib
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from math import factorial, isfinite, sqrt
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._helper import helper_process
 from .core import (
     BINARY_LABELS, MAX_EVENTS, POOL_MODES, Model, SequenceSample, _SAFE_PRODUCT_BOUND,
     _global_score, _product_bound, _score_placement, check_dim, perm_rank, pool, score_fixed,
@@ -335,6 +338,127 @@ def objective(
     return _finite_loss(value, "the objective" if _step is None else f"the objective at step {_step}")
 
 
+# Below this many solver calls in a run's trace (samples x points), the
+# trace stays in this process. Forking, the copy-on-write faults that follow
+# and a pipe round trip per point cost 20-35 ms a run, which only a long
+# trace earns back. On a 2-core x86-64 host, in a 78 MB process, dp runs on
+# d=16, N=30, M=3 sequences at 100 steps per sequence broke even between
+# about 1400 and 2000 trace solves; the constant is twice the larger
+# figure, so that a trace near the break-even stays serial.
+_TRACE_HELPER_MIN_SOLVES = 4000
+
+# The most trace points sent to the helper and not yet answered. Its
+# answers, a few dozen bytes each, then always fit in a pipe's buffer, so
+# the helper never blocks writing one while this process blocks sending.
+_TRACE_WINDOW = 32
+
+# The step samples are drawn this many at a time: numpy's bounded integers
+# give the same values and leave the generator in the same state whether
+# they are drawn one by one or in a batch.
+_DRAW_CHUNK = 4096
+
+
+def _draws(rng: np.random.Generator, n: int, count: int):
+    """``int(rng.integers(n))`` ``count`` times, drawn ``_DRAW_CHUNK`` at a time."""
+    for start in range(0, count, _DRAW_CHUNK):
+        yield from rng.integers(n, size=min(_DRAW_CHUNK, count - start)).tolist()
+
+
+class _Trace:
+    """The objective trace of one ``train`` call, in step order.
+
+    ``add(it, model)`` records the point after step ``it`` (0 before the
+    first). Without a helper it computes the objective here. With one, a
+    process running ``_answer_trace`` behind the connection pair
+    ``helper``, it sends the step and the model's parameter arrays there and
+    keeps the model until the answer comes back, awaiting the oldest once
+    ``_TRACE_WINDOW`` points wait. A point the helper reports failed, and
+    every point a helper that died did not answer, is computed here, so each
+    value and the first exception are those of computing every point here
+    right after its step. ``settle`` completes every point added so far.
+    """
+
+    def __init__(self, dataset, config, solver, helper=None):
+        self.work = (dataset, config, solver)
+        self.to_helper, self.from_helper = helper or (None, None)
+        self.waiting = deque()  # (step, model, sent to the helper)
+        self.points: List[Tuple[int, float]] = []
+
+    def add(self, it: int, model: Model) -> None:
+        sent = self.to_helper is not None
+        if sent:
+            try:
+                self.to_helper.send((it, model.templates, model.ordering_costs,
+                                     model.global_template))
+            except OSError:  # a broken pipe: the helper is gone
+                self.to_helper = None
+                sent = False
+        self.waiting.append((it, model, sent))
+        while self.waiting and (self.from_helper is None or len(self.waiting) > _TRACE_WINDOW
+                                or self.from_helper.poll()):
+            self._next()
+
+    def settle(self) -> None:
+        while self.waiting:
+            self._next()
+
+    def _next(self) -> None:
+        it, model, sent = self.waiting.popleft()
+        value = None
+        if sent and self.from_helper is not None:
+            try:
+                value = self.from_helper.recv()
+            except (EOFError, OSError):  # the helper died
+                pass
+            if value is None:  # from here on, this process computes every point
+                self.to_helper = self.from_helper = None
+        if value is None:
+            value = objective(model, *self.work, _step=it)
+        self.points.append((it, value))
+
+
+def _answer_trace(requests, answers, unused, model: Model, dataset, config, solver) -> None:
+    """The trace helper's body: answer each ``(step, templates, costs,
+    global_template)`` request, in order, with the objective at that step of
+    ``model``'s twin with those parameters, until this process closes its
+    end. A point that raises is answered with None and ends the helper."""
+    for end in unused:
+        end.close()
+    while True:
+        try:
+            it, *parameters = requests.recv()
+        except EOFError:
+            return
+        try:
+            value = objective(model._stepped(*parameters), dataset, config, solver, _step=it)
+        except Exception:  # the parent computes this point again and raises what it raises
+            answers.send(None)
+            return
+        answers.send(value)
+
+
+@contextlib.contextmanager
+def _trace(model: Model, dataset, config: TrainConfig, solver: str, points: int):
+    """A ``_Trace`` for ``points`` trace points of a run from ``model``, on a
+    helper when the trace makes at least ``_TRACE_HELPER_MIN_SOLVES`` solver
+    calls and ``helper_process`` starts one."""
+    if not points or len(dataset) * points < _TRACE_HELPER_MIN_SOLVES:
+        yield _Trace(dataset, config, solver)
+        return
+    from multiprocessing import Pipe
+
+    requests, to_helper = Pipe(duplex=False)
+    from_helper, answers = Pipe(duplex=False)
+    with to_helper, from_helper, helper_process(
+        _answer_trace, requests, answers, (to_helper, from_helper), model, dataset, config, solver,
+    ) as helper:
+        # the helper's ends: once it is gone, this process reads EOF and
+        # writes to a broken pipe
+        requests.close()
+        answers.close()
+        yield _Trace(dataset, config, solver, None if helper is None else (to_helper, from_helper))
+
+
 def train(
     dataset: Sequence[SequenceSample],
     config: TrainConfig,
@@ -348,7 +472,10 @@ def train(
     per run, ``k > 0`` records before the first step, every ``k`` steps and
     after the last step, and ``0`` records nothing. Each point costs one
     solver call per sample; the trace never touches the random stream, so
-    the model and ``violations`` do not depend on it.
+    the model and ``violations`` do not depend on it. A trace of at least
+    ``_TRACE_HELPER_MIN_SOLVES`` solver calls runs on one forked helper
+    while the steps run here, where ``helper_process`` allows one; the
+    report, the exception and its message are those of the serial run.
 
     With the ``dp`` or ``brute`` solver and ``gamma_g < 1``, each positive
     sample's last solved placement is kept for this call only; a step it
@@ -358,6 +485,8 @@ def train(
     A step whose update leaves a parameter non-finite raises ``LomoError``
     naming the step and the sample, and a trace point whose objective
     overflows raises ``LomoError`` naming the step; neither lets numpy warn.
+    Whichever comes first in step order is raised, the trace point after
+    step ``it`` coming after that step.
     """
     _check_dataset(dataset, config.M)
     if trace_every is not None and trace_every < 0:
@@ -366,29 +495,40 @@ def train(
     model = init_model(config, dataset[0].dim, rng)
     if trace_every is None:
         trace_every = max(1, config.maxiter // 100)
-    started = time.perf_counter()
-    trace: List[Tuple[int, float]] = []
+    points = 0
     if trace_every:
-        trace.append((0, objective(model, dataset, config, solver, _step=0)))
+        points = 1 + config.maxiter // trace_every + (config.maxiter % trace_every > 0)
+    started = time.perf_counter()
     violations = 0
-    n = len(dataset)
     last = None
     if solver in _EXACT_SOLVERS and config.gamma_g < 1.0:
         last = _LastPlacements()
-    for it in range(1, config.maxiter + 1):
-        sample = dataset[int(rng.integers(n))]
-        try:
-            stepped = sgd_step(model, sample, config, solver, _last=last)
-        except ValueError as exc:
-            raise LomoError(f"training diverged at step {it} on sample {sample.id!r}: {exc}") from exc
-        if stepped is not model:
-            violations += 1
-            model = stepped
-        if trace_every and (it % trace_every == 0 or it == config.maxiter):
-            trace.append((it, objective(model, dataset, config, solver, _step=it)))
+    failure = None
+    with _trace(model, dataset, config, solver, points) as trace:
+        if trace_every:
+            trace.add(0, model)
+        for it, index in enumerate(_draws(rng, len(dataset), config.maxiter), start=1):
+            sample = dataset[index]
+            try:
+                stepped = sgd_step(model, sample, config, solver, _last=last)
+            except ValueError as exc:
+                failure = LomoError(f"training diverged at step {it} on sample {sample.id!r}: {exc}")
+                failure.__cause__ = exc
+                break
+            except Exception as exc:
+                failure = exc
+                break
+            if stepped is not model:
+                violations += 1
+                model = stepped
+            if trace_every and (it % trace_every == 0 or it == config.maxiter):
+                trace.add(it, model)
+        trace.settle()  # a trace point before a failed step raises first, as serially
+    if failure is not None:
+        raise failure
     return TrainReport(
         model=model,
-        trace=trace,
+        trace=trace.points,
         violations=violations,
         duration_s=time.perf_counter() - started,
         certified=0 if last is None else last.certified,

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lomo import (
     KINDS,
@@ -84,6 +84,21 @@ def problems(draw):
     )
     tables = [_array(draw, (len(samples),)) for _ in range(2)]
     return samples, spec, model, tables, _array(draw, (2,))
+
+
+def ladder_problem(kind, template, global_template=None):
+    """A problem of ``problems``' shape at M = 2: templates ``[[template]] * 2``
+    with zero costs and max pooling, a +1 sequence of two frames of 1.7e308
+    and a -1 sequence of two frames of 1.0, so that the +1 local score
+    overflows although every response and the pooled frame are finite."""
+    samples = [SequenceSample("s0", 1, np.full((2, 1), 1.7e308)),
+               SequenceSample("s1", -1, np.ones((2, 1)))]
+    spec = ModelSpec(kind, TrainConfig(M=2, gamma_g=0.5, coverage_t=0, maxiter=2, pooling="max"))
+    r = spec.resolved()
+    model = Model(templates=[[template], [template]], ordering_costs=[0.0, 0.0],
+                  global_template=global_template, gamma_g=r.gamma_g, pooling=r.pooling,
+                  coverage=r.coverage_t)
+    return samples, spec, model, [np.array([1.0, -1.0])] * 2, np.array([1.0, 1.0])
 
 
 def finite_or_typed(call):
@@ -198,6 +213,9 @@ def check_cli(samples, spec, model, directory: Path):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(problem=problems())
+# the drawn examples reach no overflowing total; these two do, from the ladder
+@example(problem=ladder_problem("LOMo", 1.0))  # the total overflows: a DataError
+@example(problem=ladder_problem("GTP", 1.0, [1e-300]))  # the weight-0 local part overflows
 def test_finite_input_gives_finite_output_or_a_typed_error(problem):
     samples, spec, model, tables, weights = problem
     check_library(samples, spec, model, tables, weights)

@@ -1,4 +1,8 @@
+import multiprocessing
+import os
 import re
+import sys
+import time
 import warnings
 from dataclasses import replace
 from math import factorial
@@ -27,7 +31,8 @@ from lomo import (
     solve_set,
     train,
 )
-from lomo.training import _LastPlacements
+import lomo.training
+from lomo.training import _LastPlacements, _draws
 
 
 def make_sample(frames, label=1, sid="s"):
@@ -520,6 +525,197 @@ class TestTrain:
                 make_sample(rng.standard_normal((4, 3)), 1, "b")]
         with pytest.raises(DataError):
             train(data, TrainConfig())
+
+
+class TestDraws:
+    @pytest.mark.parametrize("n", [1, 3, 6, 200, 400, 1000, 2**31 + 5])
+    @pytest.mark.parametrize("count", [0, 1, 4096, 4097, 20000])
+    def test_chunked_draws_are_the_scalar_draws(self, n, count):
+        chunked, scalar = np.random.default_rng(n), np.random.default_rng(n)
+        assert list(_draws(chunked, n, count)) == [int(scalar.integers(n)) for _ in range(count)]
+        assert chunked.bit_generator.state == scalar.bit_generator.state
+
+
+def _no_child_left():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTraceHelper:
+    """A trace computed on a forked helper gives the serial run's report, or
+    its first exception, and leaves no process behind."""
+
+    @pytest.fixture(autouse=True)
+    def helper_on(self, monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the helper needs the fork start method")
+        monkeypatch.setattr(lomo.training, "_TRACE_HELPER_MIN_SOLVES", 0)
+        # two usable CPUs whatever the host has
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        self.starts = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counted_start(process):
+            self.starts.append(process)
+            return start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted_start)
+        self.monkeypatch = monkeypatch
+        yield
+        _no_child_left()
+
+    def outcome(self, data, config, solver="greedy", trace_every=None):
+        """train's trace (its repr), model bytes, violations and certified
+        count, or its exception's type, text and cause; no process is left
+        either way."""
+        try:
+            r = train(data, config, solver=solver, trace_every=trace_every)
+            m = r.model
+            result = (repr(r.trace), m.templates.tobytes(), m.ordering_costs.tobytes(),
+                      None if m.global_template is None else m.global_template.tobytes(),
+                      r.violations, r.certified)
+        except Exception as exc:
+            result = (type(exc), str(exc), repr(exc.__cause__))
+        _no_child_left()
+        return result
+
+    def serial_outcome(self, *args, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lomo.training, "_TRACE_HELPER_MIN_SOLVES", float("inf"))
+            return self.outcome(*args, **kwargs)
+
+    def slow_helper(self, seconds, die_after=None):
+        """Make the helper sleep ``seconds`` before each point, and exit
+        after ``die_after`` points; this process computes at full speed."""
+        parent, objective_here, answered = os.getpid(), lomo.training.objective, []
+
+        def helper_objective(*args, **kwargs):
+            if os.getpid() != parent:
+                if die_after is not None and len(answered) == die_after:
+                    os._exit(1)
+                answered.append(None)
+                time.sleep(seconds)
+            return objective_here(*args, **kwargs)
+
+        self.monkeypatch.setattr(lomo.training, "objective", helper_objective)
+
+    @pytest.mark.parametrize("gamma_g", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("solver", ["greedy", "dp", "brute"])
+    def test_same_report_as_serial(self, solver, gamma_g):
+        data = _ordered_events(np.random.default_rng(5), 12, 2, 3, (6, 9), signal=2.0)
+        cfg = TrainConfig(M=2, gamma_g=gamma_g, coverage_t=1, maxiter=300, seed=3)
+        parallel = self.outcome(data, cfg, solver)
+        assert len(self.starts) == 1
+        assert parallel == self.serial_outcome(data, cfg, solver)
+        assert parallel[0].count("(") == 101  # one per point
+
+    def test_a_trace_at_every_step_keeps_a_bounded_window(self):
+        data = _ordered_events(np.random.default_rng(6), 10, 2, 3, (6, 9), signal=2.0)
+        cfg = TrainConfig(M=2, coverage_t=1, maxiter=120, seed=4)
+        waiting = []
+        add = lomo.training._Trace.add
+
+        def recording_add(trace, it, model):
+            add(trace, it, model)
+            waiting.append(len(trace.waiting))
+
+        self.monkeypatch.setattr(lomo.training._Trace, "add", recording_add)
+        self.slow_helper(0.002)
+        parallel = self.outcome(data, cfg, "dp", trace_every=1)
+        assert len(self.starts) == 1
+        assert max(waiting) == lomo.training._TRACE_WINDOW  # the parent waited on the helper
+        assert parallel == self.serial_outcome(data, cfg, "dp", trace_every=1)
+
+    def test_after_a_threaded_matmul(self):
+        # numpy's BLAS has started its thread pool before the fork, and the
+        # helper's solves run matmuls
+        square = np.random.default_rng(0).standard_normal((400, 400))
+        assert np.isfinite(square @ square).all()
+        data = _ordered_events(np.random.default_rng(7), 12, 3, 40, (10, 14), signal=2.0)
+        cfg = TrainConfig(M=3, gamma_g=0.5, coverage_t=1, maxiter=200, seed=5)
+        parallel = self.outcome(data, cfg, "dp")
+        assert len(self.starts) == 1
+        assert parallel == self.serial_outcome(data, cfg, "dp")
+
+    # p's step takes the template past 1.3e154, whose square overflows the
+    # objective; r's step overflows the template itself
+    DIVERGING = [make_sample([[-4e152, 0.0]], 1, "p"), make_sample([[0.0, 1e307]], -1, "r")]
+
+    @pytest.mark.parametrize("seed, expected", [
+        (0, "the objective at step 1 overflows to a non-finite value"),
+        (4, "training diverged at step 1 on sample 'r': model parameters contain non-finite values"),
+    ], ids=["trace-point-first", "step-first"])
+    def test_the_first_error_in_step_order_is_raised(self, seed, expected):
+        cfg = TrainConfig(M=1, eta=100.0, coverage_t=0, maxiter=50, seed=seed, init_scale=0.0)
+        self.slow_helper(0.05)  # the parent reaches the diverging step before any answer
+        parallel = self.outcome(self.DIVERGING, cfg, trace_every=1)
+        assert len(self.starts) == 1
+        assert parallel == self.serial_outcome(self.DIVERGING, cfg, trace_every=1)
+        assert parallel[:2] == (LomoError, expected)
+
+    def test_a_trace_point_that_overflows_after_the_last_step(self):
+        data = [make_sample([[-4e153]], 1, "p"), make_sample([[4e153]], -1, "n")]
+        cfg = TrainConfig(M=1, coverage_t=0, maxiter=5, eta=10)
+        parallel = self.outcome(data, cfg, trace_every=1)
+        assert parallel == self.serial_outcome(data, cfg, trace_every=1)
+        assert parallel[:2] == (LomoError, "the objective at step 1 overflows to a non-finite value")
+
+    @pytest.mark.parametrize("after", [0, 3])
+    def test_a_helper_that_dies_leaves_its_points_to_this_process(self, after):
+        data = _ordered_events(np.random.default_rng(8), 12, 2, 3, (6, 9), signal=2.0)
+        cfg = TrainConfig(M=2, coverage_t=1, maxiter=300, seed=6)
+        if after == 0:
+            self.monkeypatch.setattr(lomo.training, "_answer_trace", lambda *args: os._exit(1))
+        else:
+            self.slow_helper(0.0, die_after=after)
+        parallel = self.outcome(data, cfg, "dp")
+        assert len(self.starts) == 1
+        assert parallel == self.serial_outcome(data, cfg, "dp")
+
+    def test_an_interrupt_leaves_no_process(self):
+        data = _ordered_events(np.random.default_rng(9), 12, 2, 3, (6, 9), signal=2.0)
+        steps = []
+
+        def interrupted(*args, **kwargs):
+            steps.append(None)
+            if len(steps) == 50:
+                raise KeyboardInterrupt
+            return sgd_step(*args, **kwargs)
+
+        self.monkeypatch.setattr(lomo.training, "sgd_step", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            train(data, TrainConfig(M=2, coverage_t=1, maxiter=300), trace_every=1)
+        _no_child_left()
+        assert len(self.starts) == 1
+
+    @pytest.mark.parametrize("reason", ["one-cpu", "short-trace", "no-trace"])
+    def test_a_serial_trace_starts_no_process(self, reason):
+        data = _ordered_events(np.random.default_rng(10), 12, 2, 3, (6, 9), signal=2.0)
+        cfg = TrainConfig(M=2, coverage_t=1, maxiter=300, seed=7)
+        trace_every = 0 if reason == "no-trace" else None
+        if reason == "one-cpu":
+            self.monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            self.monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        elif reason == "short-trace":  # 12 samples x 101 points
+            self.monkeypatch.setattr(lomo.training, "_TRACE_HELPER_MIN_SOLVES", 12 * 101 + 1)
+        assert self.outcome(data, cfg, trace_every=trace_every) == self.serial_outcome(
+            data, cfg, trace_every=trace_every)
+        assert self.starts == []
+
+    def test_a_daemonic_worker_traces_alone(self):
+        data = _ordered_events(np.random.default_rng(11), 12, 2, 3, (6, 9), signal=2.0)
+        cfg = TrainConfig(M=2, coverage_t=1, maxiter=300, seed=8)
+        expected = self.serial_outcome(data, cfg)
+
+        def work():
+            # the parent counted this worker's own start before the fork
+            sys.exit(0 if self.outcome(data, cfg) == expected and len(self.starts) == 1 else 1)
+
+        worker = multiprocessing.get_context("fork").Process(target=work, daemon=True)
+        worker.start()
+        worker.join(60)
+        assert worker.exitcode == 0
 
 
 def _always_solve(model, sample, config, solver="greedy", _last=None):
