@@ -24,6 +24,7 @@ initialization and the sampling sequence.
 from __future__ import annotations
 
 import contextlib
+import pickle
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -340,93 +341,113 @@ def objective(
 
 # Below this many solver calls in a run's trace (samples x points), the
 # trace stays in this process. Forking, the copy-on-write faults that follow
-# and a pipe round trip per point cost 20-35 ms a run, which only a long
-# trace earns back. On a 2-core x86-64 host, in a 78 MB process, dp runs on
-# d=16, N=30, M=3 sequences at 100 steps per sequence broke even between
-# about 1400 and 2000 trace solves; the constant is twice the larger
-# figure, so that a trace near the break-even stays serial.
-_TRACE_HELPER_MIN_SOLVES = 4000
+# and a pipe round trip per point cost 20-40 ms a run, which only a long
+# enough trace earns back. On a 2-core x86-64 host shared with other
+# tenants, in a 78 MB process, dp runs on d=16, N=30, M=3 sequences at 100
+# steps per sequence broke even near 400 trace solves while the other core
+# was free, and near 4000 while it was busy; the constant is twice the
+# larger figure.
+_TRACE_HELPER_MIN_SOLVES = 8000
 
-# The most trace points sent to the helper and not yet answered. Its
-# answers, a few dozen bytes each, then always fit in a pipe's buffer, so
-# the helper never blocks writing one while this process blocks sending.
-_TRACE_WINDOW = 32
+# The most bytes of trace requests sent to the helper and not yet answered.
+# They fit in a pipe's default buffer (64 KiB on Linux, 16 KiB on macOS),
+# and so do their answers, a few dozen bytes each, so sending does not wait
+# on the helper, which never waits on this process to read. A larger
+# request goes alone, once every earlier one is answered, to a helper that
+# is then reading.
+_TRACE_WINDOW_BYTES = 16384
 
-# The step samples are drawn this many at a time: numpy's bounded integers
-# give the same values and leave the generator in the same state whether
-# they are drawn one by one or in a batch.
-_DRAW_CHUNK = 4096
-
-
-def _draws(rng: np.random.Generator, n: int, count: int):
-    """``int(rng.integers(n))`` ``count`` times, drawn ``_DRAW_CHUNK`` at a time."""
-    for start in range(0, count, _DRAW_CHUNK):
-        yield from rng.integers(n, size=min(_DRAW_CHUNK, count - start)).tolist()
+# The objective and solvers of this package. The helper's calls are out of
+# this process's sight, so a trace whose objective or solver has been put
+# in their place (a profiler's or a test's wrapper) stays here.
+_PACKAGE_OBJECTIVE = objective
+_PACKAGE_SOLVERS = dict(SOLVERS)
 
 
 class _Trace:
     """The objective trace of one ``train`` call, in step order.
 
     ``add(it, model)`` records the point after step ``it`` (0 before the
-    first). Without a helper it computes the objective here. With one, a
-    process running ``_answer_trace`` behind the connection pair
-    ``helper``, it sends the step and the model's parameter arrays there and
-    keeps the model until the answer comes back, awaiting the oldest once
-    ``_TRACE_WINDOW`` points wait. A point the helper reports failed, and
-    every point a helper that died did not answer, is computed here, so each
-    value and the first exception are those of computing every point here
-    right after its step. ``settle`` completes every point added so far.
+    first). The first point, and every point without a helper, is computed
+    here. With a helper, a process running ``_answer_trace`` behind
+    ``helper = (process, to_helper, from_helper)``, a later point's step and
+    parameter arrays go there, and its model is kept until the answer comes
+    back; once a request would take the waiting ones past
+    ``_TRACE_WINDOW_BYTES``, the oldest is awaited first. The helper is given
+    up when it reports a point failed, dies, or leaves an awaited answer
+    unsent for ten times the first point's time here plus a second; this
+    process then computes every point not yet answered. So each value and
+    the first exception are those of computing every point here right after
+    its step. ``settle`` completes every point added so far.
     """
 
     def __init__(self, dataset, config, solver, helper=None):
         self.work = (dataset, config, solver)
-        self.to_helper, self.from_helper = helper or (None, None)
-        self.waiting = deque()  # (step, model, sent to the helper)
+        self.helper, self.to_helper, self.from_helper = helper or (None, None, None)
+        self.waiting = deque()  # (step, model, request bytes), sent to the helper
+        self.in_flight = 0  # bytes of the waiting requests
+        self.patience = None  # seconds to wait for one answer, set by the first point
         self.points: List[Tuple[int, float]] = []
 
     def add(self, it: int, model: Model) -> None:
-        sent = self.to_helper is not None
-        if sent:
-            try:
-                self.to_helper.send((it, model.templates, model.ordering_costs,
-                                     model.global_template))
-            except OSError:  # a broken pipe: the helper is gone
-                self.to_helper = None
-                sent = False
-        self.waiting.append((it, model, sent))
-        while self.waiting and (self.from_helper is None or len(self.waiting) > _TRACE_WINDOW
-                                or self.from_helper.poll()):
-            self._next()
+        if self.helper is not None and self.patience is not None:
+            request = pickle.dumps((it, model.templates, model.ordering_costs, model.global_template))
+            while self.waiting and (self.in_flight + len(request) > _TRACE_WINDOW_BYTES
+                                    or self.from_helper.poll()):
+                self._next()
+            if self.helper is not None:
+                try:
+                    self.to_helper.send_bytes(request)
+                except OSError:  # a broken pipe: the helper is gone
+                    self._give_up()
+                else:
+                    self.waiting.append((it, model, len(request)))
+                    self.in_flight += len(request)
+                    return
+        self.settle()
+        started = time.perf_counter()
+        self.points.append((it, objective(model, *self.work, _step=it)))
+        if self.patience is None:
+            self.patience = 1.0 + 10.0 * (time.perf_counter() - started)
 
     def settle(self) -> None:
         while self.waiting:
             self._next()
 
     def _next(self) -> None:
-        it, model, sent = self.waiting.popleft()
+        it, model, size = self.waiting.popleft()
+        self.in_flight -= size
         value = None
-        if sent and self.from_helper is not None:
+        if self.helper is not None:
             try:
-                value = self.from_helper.recv()
+                if self.from_helper.poll(self.patience):
+                    value = self.from_helper.recv()
             except (EOFError, OSError):  # the helper died
                 pass
-            if value is None:  # from here on, this process computes every point
-                self.to_helper = self.from_helper = None
+            if value is None:
+                self._give_up()
         if value is None:
             value = objective(model, *self.work, _step=it)
         self.points.append((it, value))
 
+    def _give_up(self) -> None:
+        """Stop a helper that failed, died or hangs: from here on, this
+        process computes every point."""
+        self.helper.terminate()
+        self.helper = None
+
 
 def _answer_trace(requests, answers, unused, model: Model, dataset, config, solver) -> None:
-    """The trace helper's body: answer each ``(step, templates, costs,
-    global_template)`` request, in order, with the objective at that step of
-    ``model``'s twin with those parameters, until this process closes its
-    end. A point that raises is answered with None and ends the helper."""
+    """The trace helper's body: answer each pickled ``(step, templates,
+    costs, global_template)`` request, in order, with the objective at that
+    step of ``model``'s twin with those parameters, until this process
+    closes its end. A point that raises is answered with None and ends the
+    helper."""
     for end in unused:
         end.close()
     while True:
         try:
-            it, *parameters = requests.recv()
+            it, *parameters = pickle.loads(requests.recv_bytes())
         except EOFError:
             return
         try:
@@ -441,8 +462,11 @@ def _answer_trace(requests, answers, unused, model: Model, dataset, config, solv
 def _trace(model: Model, dataset, config: TrainConfig, solver: str, points: int):
     """A ``_Trace`` for ``points`` trace points of a run from ``model``, on a
     helper when the trace makes at least ``_TRACE_HELPER_MIN_SOLVES`` solver
-    calls and ``helper_process`` starts one."""
-    if not points or len(dataset) * points < _TRACE_HELPER_MIN_SOLVES:
+    calls, runs the package's own objective and solver, and
+    ``helper_process`` starts one."""
+    if (not points or len(dataset) * points < _TRACE_HELPER_MIN_SOLVES
+            or objective is not _PACKAGE_OBJECTIVE
+            or SOLVERS.get(solver) is not _PACKAGE_SOLVERS.get(solver)):
         yield _Trace(dataset, config, solver)
         return
     from multiprocessing import Pipe
@@ -456,7 +480,7 @@ def _trace(model: Model, dataset, config: TrainConfig, solver: str, points: int)
         # writes to a broken pipe
         requests.close()
         answers.close()
-        yield _Trace(dataset, config, solver, None if helper is None else (to_helper, from_helper))
+        yield _Trace(dataset, config, solver, None if helper is None else (helper, to_helper, from_helper))
 
 
 def train(
@@ -472,10 +496,14 @@ def train(
     per run, ``k > 0`` records before the first step, every ``k`` steps and
     after the last step, and ``0`` records nothing. Each point costs one
     solver call per sample; the trace never touches the random stream, so
-    the model and ``violations`` do not depend on it. A trace of at least
-    ``_TRACE_HELPER_MIN_SOLVES`` solver calls runs on one forked helper
-    while the steps run here, where ``helper_process`` allows one; the
-    report, the exception and its message are those of the serial run.
+    the model and ``violations`` do not depend on it. After the first
+    point, a trace of at least ``_TRACE_HELPER_MIN_SOLVES`` solver calls
+    runs on one forked helper while the steps run here, where
+    ``helper_process`` allows one and ``objective`` and the solver are the
+    package's own (a wrapper put in their place sees every call here); the
+    report, the exception and its message are those of the serial run. A
+    helper that fails, dies or stops answering is given up, and this
+    process computes the points it left.
 
     With the ``dp`` or ``brute`` solver and ``gamma_g < 1``, each positive
     sample's last solved placement is kept for this call only; a step it
@@ -503,12 +531,13 @@ def train(
     last = None
     if solver in _EXACT_SOLVERS and config.gamma_g < 1.0:
         last = _LastPlacements()
+    n = len(dataset)
     failure = None
     with _trace(model, dataset, config, solver, points) as trace:
         if trace_every:
             trace.add(0, model)
-        for it, index in enumerate(_draws(rng, len(dataset), config.maxiter), start=1):
-            sample = dataset[index]
+        for it in range(1, config.maxiter + 1):
+            sample = dataset[int(rng.integers(n))]
             try:
                 stepped = sgd_step(model, sample, config, solver, _last=last)
             except ValueError as exc:

@@ -32,7 +32,7 @@ from lomo import (
     train,
 )
 import lomo.training
-from lomo.training import _LastPlacements, _draws
+from lomo.training import _LastPlacements
 
 
 def make_sample(frames, label=1, sid="s"):
@@ -527,15 +527,6 @@ class TestTrain:
             train(data, TrainConfig())
 
 
-class TestDraws:
-    @pytest.mark.parametrize("n", [1, 3, 6, 200, 400, 1000, 2**31 + 5])
-    @pytest.mark.parametrize("count", [0, 1, 4096, 4097, 20000])
-    def test_chunked_draws_are_the_scalar_draws(self, n, count):
-        chunked, scalar = np.random.default_rng(n), np.random.default_rng(n)
-        assert list(_draws(chunked, n, count)) == [int(scalar.integers(n)) for _ in range(count)]
-        assert chunked.bit_generator.state == scalar.bit_generator.state
-
-
 def _no_child_left():
     assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):
@@ -586,19 +577,25 @@ class TestTraceHelper:
             return self.outcome(*args, **kwargs)
 
     def slow_helper(self, seconds, die_after=None):
-        """Make the helper sleep ``seconds`` before each point, and exit
-        after ``die_after`` points; this process computes at full speed."""
-        parent, objective_here, answered = os.getpid(), lomo.training.objective, []
+        """Make the helper sleep ``seconds`` after reading each request, and
+        exit after answering ``die_after`` points; this process computes at
+        full speed."""
+        answer_trace = lomo.training._answer_trace
 
-        def helper_objective(*args, **kwargs):
-            if os.getpid() != parent:
-                if die_after is not None and len(answered) == die_after:
+        class Requests:
+            def __init__(self, requests):
+                self.requests, self.read = requests, 0
+
+            def recv_bytes(self):
+                if self.read == die_after:
                     os._exit(1)
-                answered.append(None)
+                self.read += 1
+                request = self.requests.recv_bytes()
                 time.sleep(seconds)
-            return objective_here(*args, **kwargs)
+                return request
 
-        self.monkeypatch.setattr(lomo.training, "objective", helper_objective)
+        self.monkeypatch.setattr(lomo.training, "_answer_trace",
+                                 lambda requests, *rest: answer_trace(Requests(requests), *rest))
 
     @pytest.mark.parametrize("gamma_g", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("solver", ["greedy", "dp", "brute"])
@@ -610,21 +607,30 @@ class TestTraceHelper:
         assert parallel == self.serial_outcome(data, cfg, solver)
         assert parallel[0].count("(") == 101  # one per point
 
-    def test_a_trace_at_every_step_keeps_a_bounded_window(self):
+    @pytest.mark.parametrize("window", [None, 1])
+    def test_a_trace_at_every_step_keeps_a_bounded_window(self, window):
         data = _ordered_events(np.random.default_rng(6), 10, 2, 3, (6, 9), signal=2.0)
         cfg = TrainConfig(M=2, coverage_t=1, maxiter=120, seed=4)
-        waiting = []
+        if window is not None:  # smaller than one request: one point waits at a time
+            self.monkeypatch.setattr(lomo.training, "_TRACE_WINDOW_BYTES", window)
+        window = lomo.training._TRACE_WINDOW_BYTES
+        in_flight, sizes = [], set()
         add = lomo.training._Trace.add
 
         def recording_add(trace, it, model):
             add(trace, it, model)
-            waiting.append(len(trace.waiting))
+            in_flight.append(trace.in_flight)
+            sizes.update(size for *_, size in trace.waiting)
+            assert trace.in_flight == sum(size for *_, size in trace.waiting)
 
         self.monkeypatch.setattr(lomo.training._Trace, "add", recording_add)
         self.slow_helper(0.002)
         parallel = self.outcome(data, cfg, "dp", trace_every=1)
         assert len(self.starts) == 1
-        assert max(waiting) == lomo.training._TRACE_WINDOW  # the parent waited on the helper
+        if window < min(sizes):
+            assert max(in_flight) == max(sizes)
+        else:  # the parent waited on the helper once the window was full
+            assert window - max(sizes) < max(in_flight) <= window
         assert parallel == self.serial_outcome(data, cfg, "dp", trace_every=1)
 
     def test_after_a_threaded_matmul(self):
@@ -673,6 +679,20 @@ class TestTraceHelper:
         assert len(self.starts) == 1
         assert parallel == self.serial_outcome(data, cfg, "dp")
 
+    @pytest.mark.parametrize("where", ["before-reading", "while-computing"])
+    def test_a_helper_that_hangs_leaves_its_points_to_this_process(self, where):
+        data = _ordered_events(np.random.default_rng(13), 12, 2, 3, (6, 9), signal=2.0)
+        cfg = TrainConfig(M=2, coverage_t=1, maxiter=300, seed=10)
+        if where == "before-reading":
+            self.monkeypatch.setattr(lomo.training, "_answer_trace", lambda *args: time.sleep(3600))
+        else:
+            self.slow_helper(3600)
+        started = time.perf_counter()
+        parallel = self.outcome(data, cfg, "dp")
+        assert time.perf_counter() - started < 60  # one wait of about a second, then no more
+        assert len(self.starts) == 1
+        assert parallel == self.serial_outcome(data, cfg, "dp")
+
     def test_an_interrupt_leaves_no_process(self):
         data = _ordered_events(np.random.default_rng(9), 12, 2, 3, (6, 9), signal=2.0)
         steps = []
@@ -716,6 +736,38 @@ class TestTraceHelper:
         worker.start()
         worker.join(60)
         assert worker.exitcode == 0
+
+
+@pytest.mark.parametrize("replaced", ["nothing", "objective", "solver"])
+def test_a_full_size_trace_stays_where_a_replacement_counts_it(monkeypatch, replaced):
+    """At the package's own threshold a trace runs on the helper, unless its
+    objective or solver has been replaced, as a profiler replaces them: the
+    trace then stays here, and the replacement sees every call."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the helper needs the fork start method")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    starts = []
+    start = multiprocessing.process.BaseProcess.start
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        lambda process: starts.append(process) or start(process))
+    data = _ordered_events(np.random.default_rng(12), 80, 2, 3, (6, 9), signal=2.0)
+    cfg = TrainConfig(M=2, coverage_t=1, maxiter=400, seed=9)
+    assert len(data) * 101 >= lomo.training._TRACE_HELPER_MIN_SOLVES
+    objectives, solves = [], []
+    if replaced == "objective":
+        objective_here = lomo.training.objective
+        monkeypatch.setattr(lomo.training, "objective",
+                            lambda *args, **kwargs: objectives.append(None) or objective_here(*args, **kwargs))
+    elif replaced == "solver":
+        solves = _counting_solvers(monkeypatch)
+    report = train(data, cfg, "dp")
+    _no_child_left()
+    assert len(report.trace) == 101
+    assert len(starts) == (replaced == "nothing")
+    if replaced == "objective":
+        assert len(objectives) == 101
+    elif replaced == "solver":
+        assert len(solves) == 101 * len(data) + cfg.maxiter - report.certified
 
 
 def _always_solve(model, sample, config, solver="greedy", _last=None):
