@@ -21,10 +21,12 @@ admits at least one placement; nothing overrides it. Tie-breaking is total
 and documented per solver, making every result deterministic.
 
 ``solve_set`` solves a whole set of sequences under one model, as scoring an
-evaluation set does. Its results are those of one solver call per sequence;
-for ``dp`` it runs ``infer_dp``'s recurrence as array operations over all
-the sequences at once, with bit-identical results. Training solves one
-sequence per step and calls the solvers directly.
+evaluation set or the training objective does. Its results are those of one
+``SOLVERS`` call per sequence. While ``SOLVERS["dp"]`` is ``infer_dp`` it
+runs that recurrence as array operations over all the sequences at once,
+with bit-identical results; an entry put in a solver's place, such as a
+profiler's or a test's wrapper, is called once per sequence. A training
+step solves one sequence and calls the solver directly.
 """
 
 from __future__ import annotations
@@ -371,17 +373,19 @@ def _solve_set_dp(model: Model, samples: Sequence[SequenceSample]) -> List[Laten
 def solve_set(model: Model, samples: Sequence[SequenceSample], solver: str) -> List[LatentAssignment]:
     """``[SOLVERS[solver](model, s) for s in samples]``, in input order.
 
-    For ``"dp"`` the suffix recurrence runs over all the samples at once:
-    samples that share ``effective_t`` and a length within a factor of two
-    are stacked, padded with -inf, and each suffix stage is one array
-    operation over the stack. Every result equals ``infer_dp``'s bit for
-    bit. An invalid set raises what ``infer_dp`` raises on the first sample
-    whose responses overflow, else on the first whose global term or total
-    does.
+    While ``SOLVERS[solver]`` is ``infer_dp`` the suffix recurrence runs
+    over all the samples at once: samples that share ``effective_t`` and a
+    length within a factor of two are stacked, padded with -inf, and each
+    suffix stage is one array operation over the stack. Every result equals
+    ``infer_dp``'s bit for bit. An invalid set then raises what ``infer_dp``
+    raises on the first sample whose responses overflow, else on the first
+    whose global term or total does. Any other entry, including one put in
+    ``infer_dp``'s place, is called once per sample, in input order, and
+    its results are returned as they are.
     """
-    if solver == "dp":
-        return _solve_set_dp(model, samples)
     infer = SOLVERS[solver]
+    if infer is infer_dp:
+        return _solve_set_dp(model, samples)
     return [infer(model, s) for s in samples]
 
 

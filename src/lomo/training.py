@@ -39,7 +39,7 @@ from .core import (
     _global_score, _product_bound, _score_placement, check_dim, perm_rank, pool, score_fixed,
 )
 from .errors import DataError, LomoError
-from .inference import SOLVERS
+from .inference import SOLVERS, solve_set
 
 
 def _finite(value) -> bool:
@@ -323,31 +323,37 @@ def objective(
 ) -> float:
     """Exact regularized objective with scores from the named solver.
 
-    A score that overflows is the solver's ``DataError``. Finite parameters
-    and scores can still sum or square past the float range. A value that
-    does is a ``LomoError``, not ±inf or a numpy warning; ``train`` passes
-    ``_step`` so that the error names its step.
+    The scores come from one ``solve_set`` call, so they are those of one
+    solver call per sample, and the hinge is summed in dataset order. A
+    score that overflows is ``solve_set``'s ``DataError``: for ``dp`` the
+    first sample whose responses overflow, else the first whose global term
+    or total does. Finite parameters and scores can still sum or square
+    past the float range. A value that does is a ``LomoError``, not ±inf or
+    a numpy warning; ``train`` passes ``_step`` so that the error names its
+    step.
     """
     if not dataset:
         raise DataError("objective requires a non-empty dataset")
-    infer_fn = SOLVERS[solver]  # an unknown name fails at every gamma_g
     hinge = 0.0
-    for sample in dataset:
-        s = infer_fn(model, sample).total
-        hinge += max(0.0, 1.0 - sample.label * s)
+    for sample, assignment in zip(dataset, solve_set(model, dataset, solver)):
+        hinge += max(0.0, 1.0 - sample.label * assignment.total)
     value = _regularizer(model, config) + hinge / len(dataset)
     return _finite_loss(value, "the objective" if _step is None else f"the objective at step {_step}")
 
 
-# Below this many solver calls in a run's trace (samples x points), the
+# Below this many sample solves in a run's trace (samples x points), the
 # trace stays in this process. Forking, the copy-on-write faults that follow
 # and a pipe round trip per point cost 20-40 ms a run, which only a long
 # enough trace earns back. On a 2-core x86-64 host shared with other
-# tenants, in a 78 MB process, dp runs on d=16, N=30, M=3 sequences at 100
-# steps per sequence broke even near 400 trace solves while the other core
-# was free, and near 4000 while it was busy; the constant is twice the
-# larger figure.
-_TRACE_HELPER_MIN_SOLVES = 8000
+# tenants, in an 80 MB process, dp runs on d=16, N=30, M=3 sequences at 100
+# steps per sequence, a trace point taking about 2.5 ms for 200 sequences
+# (BENCH_objective_solve_set.json): the serial trace won at 8080 and 12120
+# trace solves in every pass (172 against 201 ms and 555 against 618 ms in
+# fresh processes), and from 16160 to 20200 the two came within 13% of each
+# other, the serial one ahead in 7 of 8 pass medians. The constant sits
+# below that tie, so perfbench's planted-dp trace (20200 solves) keeps its
+# helper, which won all 4 pairs against a serial trace there.
+_TRACE_HELPER_MIN_SOLVES = 16000
 
 # The most bytes of trace requests sent to the helper and not yet answered.
 # They fit in a pipe's default buffer (64 KiB on Linux, 16 KiB on macOS),
@@ -461,8 +467,8 @@ def _answer_trace(requests, answers, unused, model: Model, dataset, config, solv
 @contextlib.contextmanager
 def _trace(model: Model, dataset, config: TrainConfig, solver: str, points: int):
     """A ``_Trace`` for ``points`` trace points of a run from ``model``, on a
-    helper when the trace makes at least ``_TRACE_HELPER_MIN_SOLVES`` solver
-    calls, runs the package's own objective and solver, and
+    helper when the trace makes at least ``_TRACE_HELPER_MIN_SOLVES`` sample
+    solves, runs the package's own objective and solver, and
     ``helper_process`` starts one."""
     if (not points or len(dataset) * points < _TRACE_HELPER_MIN_SOLVES
             or objective is not _PACKAGE_OBJECTIVE
@@ -494,10 +500,10 @@ def train(
     ``trace_every`` sets how often the full objective is recorded in
     ``TrainReport.trace``: ``None`` (the default) records about 100 points
     per run, ``k > 0`` records before the first step, every ``k`` steps and
-    after the last step, and ``0`` records nothing. Each point costs one
-    solver call per sample; the trace never touches the random stream, so
-    the model and ``violations`` do not depend on it. After the first
-    point, a trace of at least ``_TRACE_HELPER_MIN_SOLVES`` solver calls
+    after the last step, and ``0`` records nothing. Each point scores every
+    sample with one ``solve_set`` call; the trace never touches the random
+    stream, so the model and ``violations`` do not depend on it. After the
+    first point, a trace of at least ``_TRACE_HELPER_MIN_SOLVES`` sample solves
     runs on one forked helper while the steps run here, where
     ``helper_process`` allows one and ``objective`` and the solver are the
     package's own (a wrapper put in their place sees every call here); the

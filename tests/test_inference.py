@@ -14,17 +14,21 @@ from lomo import (
     LatentAssignment,
     Model,
     SequenceSample,
+    TrainConfig,
     effective_t,
     infer_brute,
     infer_dp,
     infer_greedy,
+    objective,
     perm_rank,
     predict,
     predict_table,
     score_fixed,
     solve_set,
+    train,
 )
 from lomo import inference
+import lomo.training
 from lomo.core import _product_bound
 from conftest import random_instance
 
@@ -429,6 +433,21 @@ class TestSolveSet:
             want = [inference.SOLVERS[solver](model, s) for s in samples]
             assert [repr(a) for a in got] == [repr(a) for a in want]
 
+    def test_a_replaced_entry_is_called_once_per_sample_in_order(self, rng, monkeypatch):
+        model, _ = random_instance(rng, m_choices=(3,), with_global=True)
+        samples = set_samples(rng, model, [3, 5, 9, 12, 7, 30], integer=False)
+        seen, returned = [], []
+
+        def counted(model, sample):
+            seen.append(sample)
+            returned.append(infer_dp(model, sample))
+            return returned[-1]
+
+        monkeypatch.setitem(inference.SOLVERS, "dp", counted)
+        got = solve_set(model, samples, "dp")
+        assert [id(s) for s in seen] == [id(s) for s in samples]
+        assert [id(a) for a in got] == [id(a) for a in returned]
+
     @pytest.mark.parametrize("solver", ["dp", "greedy"])
     def test_empty_set(self, rng, solver):
         model, _ = random_instance(rng)
@@ -545,16 +564,30 @@ class TestNonFiniteResponses:
                 call()
             assert str(raised.value) == "sample 'big': the score overflows to non-finite values"
 
-    def test_solve_set_names_the_first_bad_total_in_input_order(self):
+    def test_solve_set_names_the_first_bad_total_in_input_order(self, monkeypatch):
         # B and C overflow only in their totals; C shares A's length bucket
         model, _ = _low_scores()
         samples = [SequenceSample("A", 1, np.ones((30, 1))), SequenceSample("B", 1, np.full((5, 1), -1e308)),
                    SequenceSample("C", 1, np.full((30, 1), -1e308))]
         for solver in inference.SOLVERS:
-            for call in (solve_set, predict_table):
+            for call in (solve_set, predict_table) + _objective_calls(monkeypatch, model, solver):
                 with pytest.raises(DataError) as raised:
                     call(model, samples, solver)
                 assert str(raised.value) == "sample 'B': the score overflows to non-finite values"
+
+    @pytest.mark.parametrize("solver, named", [("dp", "D"), ("greedy", "B"), ("brute", "B")])
+    def test_the_objective_names_the_sample_predict_table_names(self, monkeypatch, solver, named):
+        # B overflows only in its total and the later D in its responses:
+        # the stacked dp checks every sample's responses before any total
+        model = Model(templates=[[1.0, 0.0], [1.0, 1.0]], ordering_costs=[0.0, 0.0])
+        samples = [SequenceSample("A", 1, np.ones((6, 2))), SequenceSample("B", 1, [[-1e308, 0.0]] * 4),
+                   SequenceSample("D", 1, [[1e308, 1e308]] * 4)]
+        errors = set()
+        for call in (predict_table,) + _objective_calls(monkeypatch, model, solver):
+            with pytest.raises(DataError) as raised:
+                call(model, samples, solver)
+            errors.add(str(raised.value))
+        assert len(errors) == 1 and errors.pop().startswith(f"sample {named!r}: ")
 
     def test_solve_set_names_the_first_bad_sample(self, rng):
         model = Model(templates=np.full((2, 2), 1e200), ordering_costs=np.zeros(2))
@@ -563,6 +596,15 @@ class TestNonFiniteResponses:
         ]
         with pytest.raises(DataError, match="sample 'huge0': template responses overflow"):
             solve_set(model, samples, "dp")
+
+
+def _objective_calls(monkeypatch, model, solver):
+    """``objective`` and the first trace point of ``train``, run from
+    ``model``, as calls of ``(model, samples, solver)``."""
+    config = TrainConfig(M=model.n_events, coverage_t=model.coverage, maxiter=0)
+    monkeypatch.setattr(lomo.training, "init_model", lambda config, dim, rng: model)
+    return (lambda model, samples, solver: objective(model, samples, config, solver),
+            lambda model, samples, solver: train(samples, config, solver))
 
 
 def _global_overflow(case, pooling="mean", sid="big"):

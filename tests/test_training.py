@@ -750,7 +750,7 @@ def test_a_full_size_trace_stays_where_a_replacement_counts_it(monkeypatch, repl
     start = multiprocessing.process.BaseProcess.start
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
                         lambda process: starts.append(process) or start(process))
-    data = _ordered_events(np.random.default_rng(12), 80, 2, 3, (6, 9), signal=2.0)
+    data = _ordered_events(np.random.default_rng(12), 160, 2, 3, (6, 9), signal=2.0)
     cfg = TrainConfig(M=2, coverage_t=1, maxiter=400, seed=9)
     assert len(data) * 101 >= lomo.training._TRACE_HELPER_MIN_SOLVES
     objectives, solves = [], []
@@ -937,6 +937,44 @@ class TestCertifiedMargin:
 
 
 class TestObjective:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        solver=st.sampled_from(["greedy", "dp", "brute"]),
+        gamma_g=st.sampled_from([0.0, 0.5, 1.0]),
+        m=st.integers(1, 5),
+        coverage=st.integers(2, 5),
+        integer=st.booleans(),
+        spans=st.lists(st.integers(0, 10), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_value_is_the_per_sample_loop_bit_for_bit(
+        self, solver, gamma_g, m, coverage, integer, spans, seed
+    ):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 4))
+
+        def draw(*shape):
+            return rng.integers(-1, 2, shape) if integer else rng.standard_normal(shape)
+
+        model = Model(
+            templates=draw(m, d), ordering_costs=draw(factorial(m)),
+            global_template=draw(d) if gamma_g else None, gamma_g=gamma_g, coverage=coverage,
+        )
+        # length M clamps any radius of at least 2; M + 5 and more lie in a
+        # longer length bucket
+        lengths = [m, m + 5] + [m + span for span in spans]
+        data = [make_sample(draw(n, d), 1 if i % 2 else -1, f"s{i}") for i, n in enumerate(lengths)]
+        assert any(lomo.inference.effective_t(n, m, coverage) < coverage for n in lengths)
+        assert len({n.bit_length() for n in lengths}) >= 2
+        config = TrainConfig(M=m, gamma_g=gamma_g, coverage_t=coverage, lambda1=0.01, lambda2=0.02)
+
+        hinge = 0.0
+        for sample in data:
+            s = lomo.inference.SOLVERS[solver](model, sample).total
+            hinge += max(0.0, 1.0 - sample.label * s)
+        looped = lomo.training._regularizer(model, config) + hinge / len(data)
+        assert objective(model, data, config, solver).hex() == looped.hex()
+
     def test_zero_model_unit_hinge(self, rng):
         cfg = TrainConfig(M=1, lambda1=0.0, lambda2=0.0, init_scale=0.0)
         model = init_model(cfg, 3)
